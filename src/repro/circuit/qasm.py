@@ -88,16 +88,100 @@ _MEASURE_RE = re.compile(
 )
 
 
+#: one parameter-expression token: a float literal, ``pi``, or an operator
+_PARAM_TOKEN_RE = re.compile(
+    r"\s*(?:([0-9]+\.?[0-9]*(?:[eE][+-]?[0-9]+)?|\.[0-9]+(?:[eE][+-]?[0-9]+)?)"
+    r"|(pi)|([-+*/()]))"
+)
+
+
+class _ParamParser:
+    """Recursive descent over one tokenised parameter expression.
+
+    Grammar, with Python's precedence (unary signs bind tighter than
+    ``*``/``/``) and left associativity::
+
+        expr  := term (("+" | "-") term)*
+        term  := unary (("*" | "/") unary)*
+        unary := ("+" | "-")* atom
+        atom  := NUMBER | "pi" | "(" expr ")"
+    """
+
+    def __init__(self, tokens: list):
+        self.tokens = tokens + [None]
+        self.pos = 0
+
+    def take(self, *ops: str) -> "str | None":
+        token = self.tokens[self.pos]
+        if isinstance(token, str) and token in ops:
+            self.pos += 1
+            return token
+        return None
+
+    def parse(self) -> float:
+        value = self.expr()
+        if self.tokens[self.pos] is not None:
+            raise QasmError(f"unexpected {self.tokens[self.pos]!r}")
+        return value
+
+    def expr(self) -> float:
+        value = self.term()
+        while op := self.take("+", "-"):
+            rhs = self.term()
+            value = value + rhs if op == "+" else value - rhs
+        return value
+
+    def term(self) -> float:
+        value = self.unary()
+        while op := self.take("*", "/"):
+            rhs = self.unary()
+            value = value * rhs if op == "*" else value / rhs
+        return value
+
+    def unary(self) -> float:
+        negative = False
+        while op := self.take("+", "-"):
+            negative ^= op == "-"
+        value = self.atom()
+        return -value if negative else value
+
+    def atom(self) -> float:
+        if self.take("("):
+            value = self.expr()
+            if not self.take(")"):
+                raise QasmError("unbalanced parentheses")
+            return value
+        token = self.tokens[self.pos]
+        if not isinstance(token, float):
+            raise QasmError(f"unexpected {token or 'end of expression'!r}")
+        self.pos += 1
+        return token
+
+
 def _eval_param(expr: str) -> float:
-    """Evaluate a QASM parameter expression (numbers, pi, + - * /)."""
-    original = expr.strip()
-    expr = original.replace("pi", repr(math.pi))
-    if not re.fullmatch(r"[0-9eE\.\+\-\*/\(\) ]+", expr):
-        raise QasmError(f"unsupported parameter expression: {original!r}")
+    """Evaluate a QASM parameter expression.
+
+    Accepts numbers, ``pi``, unary ``+``/``-``, left-associative
+    ``+ - * /`` and parentheses.  No ``eval``: tenant text reaches this
+    parser, and an operator like ``**`` would let one angle cost unbounded
+    time while holding the GIL.  Literals are parsed as floats and combined
+    with Python's precedence rules, so every angle :func:`_format_param`
+    emits reads back bit-identically.
+    """
+    text = expr.strip()
+    tokens: list = []
+    pos = 0
+    while pos < len(text):
+        match = _PARAM_TOKEN_RE.match(text, pos)
+        if match is None:
+            raise QasmError(f"unsupported parameter expression: {text!r}")
+        number, constant, op = match.groups()
+        tokens.append(float(number) if number else math.pi if constant else op)
+        pos = match.end()
     try:
-        return float(eval(expr, {"__builtins__": {}}, {}))  # noqa: S307 - sanitised above
-    except Exception as exc:
-        raise QasmError(f"invalid parameter expression {original!r}: {exc}") from None
+        return _ParamParser(tokens).parse()
+    except (QasmError, ZeroDivisionError, RecursionError) as exc:
+        raise QasmError(f"invalid parameter expression {text!r}: {exc}") from None
 
 
 class _Registers:

@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from ..circuit.circuit import QuantumCircuit
-from ..profiling import profiled
+from ..obs import timed
 from .supermarq import feature_table, features_from_table
 
 __all__ = ["FEATURE_NAMES", "feature_vector", "feature_vectors_batch", "feature_dict"]
@@ -81,7 +81,7 @@ def feature_vector(circuit: QuantumCircuit) -> np.ndarray:
     table.  Values are identical to ``feature_dict`` read out in
     :data:`FEATURE_NAMES` order (pinned by a regression test).
     """
-    with profiled("kernel.feature_vector", items=1):
+    with timed("kernel.feature_vector", items=1):
         return _vector_from_table(feature_table(circuit))
 
 
@@ -89,11 +89,11 @@ def feature_vectors_batch(circuits: Sequence[QuantumCircuit]) -> np.ndarray:
     """Observation vectors for many circuits as one ``(N, 7)`` array.
 
     Amortises the per-call overhead for vec-env fleets and service-side
-    prediction: one profiling record, one output allocation, row ``i`` equal
+    prediction: one timing record, one output allocation, row ``i`` equal
     to ``feature_vector(circuits[i])``.
     """
     out = np.empty((len(circuits), len(FEATURE_NAMES)), dtype=np.float64)
-    with profiled("kernel.feature_vectors_batch", items=len(circuits)):
+    with timed("kernel.feature_vectors_batch", items=len(circuits)):
         for i, circuit in enumerate(circuits):
             out[i] = _vector_from_table(feature_table(circuit))
     return out

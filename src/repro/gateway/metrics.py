@@ -2,27 +2,29 @@
 
 Two collectors feed the ``/metrics`` and ``/v1/stats`` endpoints:
 
-* :class:`LatencyWindow` — a bounded reservoir of recent request latencies,
-  kept per label (per tenant and per priority class), from which p50/p95 are
-  computed on demand.  The service itself only tracks mean/max; percentiles
-  are a gateway concern because only the gateway sees per-tenant identity.
+* :class:`LatencyWindow` — recent request latencies per label (per tenant
+  and per priority class): a bounded reservoir for on-demand p50/p95 plus a
+  cumulative histogram.  Per-tenant latency is a gateway concern because
+  only the gateway sees tenant identity.
 * :class:`StatsSampler` — a daemon thread that snapshots
   ``CompileService.stats()`` every ``interval`` seconds into a ring buffer
   (`deque(maxlen=...)`), giving ``/v1/stats`` a queue-depth / worker-count /
   hit-rate time series without any external metrics stack.
 
-:func:`render_prometheus` serialises both (plus the tenant and fair-share
-counters) in the Prometheus text exposition format, so a real deployment can
-scrape the gateway directly.
+:func:`render_prometheus` serialises the service stats (including the
+always-on per-span histograms), the gateway latency histogram and the tenant
+and fair-share counters in the Prometheus text exposition format, so a real
+deployment can scrape the gateway directly.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 import threading
 import time
 from collections import deque
+
+from ..obs import BUCKETS, Histograms
 
 __all__ = ["LatencyWindow", "StatsSampler", "render_prometheus", "quantile"]
 
@@ -50,24 +52,16 @@ class LatencyWindow:
     Two views over the same observations:
 
     * a bounded reservoir per label from which p50/p95 are computed on
-      demand (:meth:`summary`) — human-friendly, but quantiles of quantiles
-      cannot be aggregated by a scrape stack;
-    * a cumulative histogram per label (:meth:`histogram`) with the
-      Prometheus bucket convention (``le`` upper bounds, counts never
-      reset), which *can* be summed across instances and turned into any
-      quantile server-side.
+      demand (:meth:`summary`) — what ``/v1/stats`` and the dashboard show;
+    * a cumulative histogram per label (:meth:`histogram`, the shared
+      :class:`~repro.obs.Histograms` over :data:`~repro.obs.BUCKETS`), which
+      a scrape stack can sum across instances and re-quantile server-side.
     """
-
-    #: histogram upper bounds in seconds (``+Inf`` is implicit)
-    HISTOGRAM_BUCKETS = (0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0)
 
     def __init__(self, window: int = 512):
         self.window = window
         self._buckets: dict[str, deque] = {}
-        self._totals: dict[str, int] = {}
-        #: label -> per-bucket counts (len(HISTOGRAM_BUCKETS) + 1 for +Inf)
-        self._hist_counts: dict[str, list[int]] = {}
-        self._hist_sums: dict[str, float] = {}
+        self._histograms = Histograms()
         self._lock = threading.Lock()
 
     def observe(self, label: str, seconds: float) -> None:
@@ -75,46 +69,23 @@ class LatencyWindow:
             bucket = self._buckets.get(label)
             if bucket is None:
                 bucket = self._buckets[label] = deque(maxlen=self.window)
-                self._hist_counts[label] = [0] * (len(self.HISTOGRAM_BUCKETS) + 1)
-                self._hist_sums[label] = 0.0
             bucket.append(seconds)
-            self._totals[label] = self._totals.get(label, 0) + 1
-            self._hist_counts[label][bisect.bisect_left(self.HISTOGRAM_BUCKETS, seconds)] += 1
-            self._hist_sums[label] += seconds
+            # Under the window lock, so every label summary() sees also
+            # has a histogram row.
+            self._histograms.observe(label, seconds)
 
     def histogram(self) -> dict:
-        """``{label: {buckets: [(le, cumulative_count), ...], sum, count}}``.
-
-        Bucket counts are cumulative (every observation ``<= le``) and never
-        reset, matching the Prometheus histogram exposition contract; the
-        trailing ``+Inf`` bucket equals ``count``.
-        """
-        with self._lock:
-            counts = {label: list(row) for label, row in self._hist_counts.items()}
-            sums = dict(self._hist_sums)
-        out: dict = {}
-        for label, row in counts.items():
-            cumulative = 0
-            buckets = []
-            for bound, count in zip(self.HISTOGRAM_BUCKETS, row):
-                cumulative += count
-                buckets.append((bound, cumulative))
-            buckets.append((float("inf"), cumulative + row[-1]))
-            out[label] = {
-                "buckets": buckets,
-                "sum": sums[label],
-                "count": buckets[-1][1],
-            }
-        return out
+        """Per-label :meth:`~repro.obs.Histograms.snapshot` (cumulative buckets)."""
+        return self._histograms.snapshot()
 
     def summary(self) -> dict:
-        """``{label: {count, p50, p95, mean}}`` over the retained window."""
+        """``{label: {count, window, p50, p95, mean}}`` over the retained window."""
         with self._lock:
             snapshot = {label: list(bucket) for label, bucket in self._buckets.items()}
-            totals = dict(self._totals)
+        totals = self._histograms.snapshot()
         return {
             label: {
-                "count": totals[label],
+                "count": totals[label]["count"],
                 "window": len(samples),
                 "p50_seconds": quantile(samples, 0.50),
                 "p95_seconds": quantile(samples, 0.95),
@@ -193,6 +164,21 @@ def _line(name: str, value, labels: "dict | None" = None) -> str:
     return f"{name} {value}"
 
 
+#: ``le`` label values for :data:`~repro.obs.BUCKETS` plus ``+Inf``
+_LE = [format(bound, "g") for bound in BUCKETS] + ["+Inf"]
+
+
+def _histogram_rows(family: str, label: str, histograms: dict) -> list[str]:
+    """``_bucket``/``_sum``/``_count`` rows for a ``Histograms.snapshot()``."""
+    rows = []
+    for value, entry in sorted(histograms.items()):
+        for le, count in zip(_LE, entry["buckets"]):
+            rows.append(_line(f"{family}_bucket", count, {label: value, "le": le}))
+        rows.append(_line(f"{family}_sum", round(entry["sum"], 6), {label: value}))
+        rows.append(_line(f"{family}_count", entry["count"], {label: value}))
+    return rows
+
+
 def render_prometheus(
     service_stats: dict,
     *,
@@ -269,49 +255,23 @@ def render_prometheus(
             for name, lane in sorted(lanes.items())
         ],
     )
-    profiling = service_stats.get("profiling", {})
-    if profiling.get("enabled"):
-        counters = profiling.get("counters", {})
-        metric(
-            "repro_service_hotpath_seconds_total",
-            "counter",
-            "Wall time spent per profiled pass / kernel (requires --profile).",
-            [
-                _line(
-                    "repro_service_hotpath_seconds_total",
-                    round(entry.get("total_seconds", 0.0), 6),
-                    {"site": name},
-                )
-                for name, entry in sorted(counters.items())
-            ],
-        )
-        metric(
-            "repro_service_hotpath_calls_total",
-            "counter",
-            "Invocations per profiled pass / kernel (requires --profile).",
-            [
-                _line(
-                    "repro_service_hotpath_calls_total",
-                    entry.get("calls", 0),
-                    {"site": name},
-                )
-                for name, entry in sorted(counters.items())
-            ],
-        )
-        metric(
-            "repro_service_hotpath_items_total",
-            "counter",
-            "Work items (gates, circuits) processed per profiled site.",
-            [
-                _line(
-                    "repro_service_hotpath_items_total",
-                    entry.get("items", 0),
-                    {"site": name},
-                )
-                for name, entry in sorted(counters.items())
-                if entry.get("items", 0)
-            ],
-        )
+    spans = service_stats.get("spans", {})
+    metric(
+        "repro_span_duration_seconds",
+        "histogram",
+        "Wall time per pipeline stage, pass and kernel (cumulative buckets).",
+        _histogram_rows("repro_span_duration_seconds", "span", spans),
+    )
+    metric(
+        "repro_span_items_total",
+        "counter",
+        "Work items (gates, circuits) processed per timed span.",
+        [
+            _line("repro_span_items_total", entry["items"], {"span": name})
+            for name, entry in sorted(spans.items())
+            if entry["items"]
+        ],
+    )
     if health is not None:
         metric(
             "repro_gateway_ready",
@@ -352,54 +312,12 @@ def render_prometheus(
         tenant_rows_limited,
     )
     if latency is not None:
-        rows = []
-        for label, entry in sorted(latency.summary().items()):
-            for q_name, q_value in (("0.5", entry["p50_seconds"]), ("0.95", entry["p95_seconds"])):
-                rows.append(
-                    _line(
-                        "repro_gateway_request_latency_quantile_seconds",
-                        round(q_value, 6),
-                        {"label": label, "quantile": q_name},
-                    )
-                )
-        metric(
-            "repro_gateway_request_latency_quantile_seconds",
-            "gauge",
-            "Recent request latency quantiles per tenant / priority class "
-            "(windowed; not aggregatable — prefer the histogram).",
-            rows,
-        )
-        # The aggregatable view: cumulative histogram buckets a scrape stack
-        # can sum across gateway instances and re-quantile server-side.
-        hist_rows = []
-        for label, entry in sorted(latency.histogram().items()):
-            for bound, count in entry["buckets"]:
-                le = "+Inf" if math.isinf(bound) else format(bound, "g")
-                hist_rows.append(
-                    _line(
-                        "repro_gateway_request_latency_seconds_bucket",
-                        count,
-                        {"label": label, "le": le},
-                    )
-                )
-            hist_rows.append(
-                _line(
-                    "repro_gateway_request_latency_seconds_sum",
-                    round(entry["sum"], 6),
-                    {"label": label},
-                )
-            )
-            hist_rows.append(
-                _line(
-                    "repro_gateway_request_latency_seconds_count",
-                    entry["count"],
-                    {"label": label},
-                )
-            )
         metric(
             "repro_gateway_request_latency_seconds",
             "histogram",
             "Request latency per tenant / priority class (cumulative buckets).",
-            hist_rows,
+            _histogram_rows(
+                "repro_gateway_request_latency_seconds", "label", latency.histogram()
+            ),
         )
     return "\n".join(lines) + "\n"

@@ -342,12 +342,12 @@ class GatewayServer:
         with self._lock:
             self._future_jobs[future] = job
         future.add_done_callback(
-            self._make_done_callback(job, tenant.name, hint, vtime, root)
+            self._make_done_callback(job, circuit, tenant.name, hint, vtime, root)
         )
         return job
 
     def _make_done_callback(
-        self, job, tenant_name: str, hint: int, vtime: float, root: Span
+        self, job, circuit, tenant_name: str, hint: int, vtime: float, root: Span
     ):
         def _done(future) -> None:
             try:
@@ -355,12 +355,7 @@ class GatewayServer:
             except Exception as exc:  # noqa: BLE001 - futures normally hold results
                 from ..api.batch import _failure_result
 
-                result = _failure_result(
-                    from_qasm("OPENQASM 2.0;\nqreg q[1];\ncreg c[1];\n"),
-                    job.backend,
-                    "fidelity",
-                    exc,
-                )
+                result = _failure_result(circuit, job.backend, "fidelity", exc)
             # Complete the trace: the service's span tree (carried home in
             # result.metadata["trace"]) nests under the gateway root span,
             # and the whole tree becomes the job's /trace payload.

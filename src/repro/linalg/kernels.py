@@ -37,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from ..circuit.gates import _INTERNED_MATRICES, Gate, gate_matrix
-from ..profiling import profiled
+from ..obs import timed
 from .decompositions import (
     OneQubitDecomposition,
     _drop_trivial,
@@ -287,7 +287,7 @@ def synthesize_1q_batch(
     n = len(m)
     if n == 0:
         return []
-    with profiled("kernel.synthesize_1q_batch", items=n):
+    with timed("kernel.synthesize_1q_batch", items=n):
         return _synthesize_1q_batch(m, basis)
 
 

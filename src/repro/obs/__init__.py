@@ -1,16 +1,17 @@
-"""Observability: request tracing, structured logging, slow-request capture.
+"""Observability: request tracing, always-on histograms, structured logging.
 
 See :mod:`repro.obs.trace` for the span model and propagation seams,
-:mod:`repro.obs.log` for trace-stamped JSON logging, and
-:mod:`repro.obs.slowlog` for the gateway's bounded slow-request log.
+:mod:`repro.obs.histogram` for the always-on per-span-name histograms every
+timed site records into, :mod:`repro.obs.log` for trace-stamped JSON logging,
+and :mod:`repro.obs.slowlog` for the gateway's bounded slow-request log.
 """
 
+from .histogram import BUCKETS, Histograms, span_histograms, timed
 from .log import JsonFormatter, configure_json_logging, get_logger
 from .slowlog import SlowRequestLog
 from .trace import (
     Span,
     SpanContext,
-    Tracer,
     activate,
     as_context,
     current_span,
@@ -18,16 +19,16 @@ from .trace import (
     new_trace_id,
     span,
     timed_span,
-    tracer,
     valid_trace_id,
 )
 
 __all__ = [
+    "BUCKETS",
+    "Histograms",
     "JsonFormatter",
     "SlowRequestLog",
     "Span",
     "SpanContext",
-    "Tracer",
     "activate",
     "as_context",
     "configure_json_logging",
@@ -36,7 +37,8 @@ __all__ = [
     "new_span_id",
     "new_trace_id",
     "span",
+    "span_histograms",
+    "timed",
     "timed_span",
-    "tracer",
     "valid_trace_id",
 ]

@@ -2,9 +2,9 @@
 
 One compile request crosses a lot of threads on its way through the stack —
 an HTTP handler thread in the gateway, the service's scheduler thread, a lane
-worker thread (or a lane *process*), and finally the pass pipeline.  The flat
-:class:`~repro.profiling.ProfileRegistry` answers "how much time does the
-fleet spend in stage X overall"; this module answers "where did *this*
+worker thread (or a lane *process*), and finally the pass pipeline.  The
+always-on histograms of :mod:`repro.obs.histogram` answer "how much time does
+the fleet spend in stage X overall"; this module answers "where did *this*
 request spend its 1.3 seconds".
 
 The building blocks are deliberately stdlib-only and self-contained:
@@ -16,16 +16,15 @@ The building blocks are deliberately stdlib-only and self-contained:
 * :class:`SpanContext` — the picklable ``(trace_id, span_id)`` pair used to
   continue a trace across a boundary that cannot share the ``Span`` object
   itself: the service RPC protocol and the process-lane pickle boundary.
-* :class:`Tracer` — mints trace ids and root spans.  A module-global tracer
-  (:func:`tracer`) serves the default case.
 
 Propagation happens two ways, mirroring how the request actually travels:
 
 * **Thread-local** — :func:`activate` installs a span as the calling thread's
   current span; :func:`span` / :func:`timed_span` then attach children to it.
   Instrumented library code (the pass pipeline) never needs to see a request
-  object: if a span is active on its thread it records, otherwise every
-  helper is a no-op, which is what keeps tracing strictly pay-for-what-you-use.
+  object: if a span is active on its thread it records, otherwise no span
+  is built (``timed_span`` still feeds its always-on histogram), which is
+  what keeps tracing strictly pay-for-what-you-use.
 * **Explicit context** — code that hops threads (the service's scheduler
   hands requests to lane workers) or processes (lane pools, the RPC server)
   carries a :class:`Span` or :class:`SpanContext` in its payload and
@@ -46,10 +45,11 @@ import time
 from contextlib import contextmanager
 from typing import NamedTuple
 
+from .histogram import span_histograms
+
 __all__ = [
     "Span",
     "SpanContext",
-    "Tracer",
     "activate",
     "as_context",
     "current_span",
@@ -57,7 +57,6 @@ __all__ = [
     "new_trace_id",
     "span",
     "timed_span",
-    "tracer",
     "valid_trace_id",
 ]
 
@@ -275,36 +274,6 @@ class Span:
         return f"Span({self.name!r}, trace={self.trace_id[:8]}, {state})"
 
 
-class Tracer:
-    """Mints trace ids and root spans; holds the (rarely needed) kill switch."""
-
-    def __init__(self, *, enabled: bool = True):
-        self.enabled = enabled
-
-    def start_trace(
-        self,
-        name: str,
-        *,
-        trace_id: "str | None" = None,
-        context: "SpanContext | None" = None,
-        attrs: "dict | None" = None,
-    ) -> "Span | None":
-        """Begin a trace (or continue one from ``context``); ``None`` if disabled."""
-        if not self.enabled:
-            return None
-        if context is not None:
-            return Span(name, context=context, attrs=attrs)
-        return Span(name, trace_id=trace_id, attrs=attrs)
-
-
-_TRACER = Tracer()
-
-
-def tracer() -> Tracer:
-    """The process-global :class:`Tracer`."""
-    return _TRACER
-
-
 # -- thread-local propagation ----------------------------------------------------------
 
 _ACTIVE = threading.local()
@@ -363,26 +332,17 @@ def span(name: str, attrs: "dict | None" = None):
 
 @contextmanager
 def timed_span(name: str, *, items: int = 0, attrs: "dict | None" = None):
-    """One measurement feeding both a child span and the profile registry.
+    """Time a block into the span histograms, and into a child span if traced.
 
-    The instrumented hot paths (pipeline stages) historically recorded into
-    :class:`~repro.profiling.ProfileRegistry` under ``registry.enabled``;
-    this helper keeps that behaviour bit-for-bit (same names, same ``items``)
-    while *also* emitting a span when a trace is active — one ``perf_counter``
-    pair serves both sinks, so ``--profile`` aggregates and per-request spans
-    can never disagree about a stage's duration.  With tracing inactive and
-    profiling disabled the block runs untimed.
+    The block's duration always lands in :func:`~repro.obs.span_histograms`
+    under ``name`` (with ``items`` work units); when a span is active on this
+    thread a child span is recorded too.  One ``perf_counter`` pair serves
+    both sinks, so the always-on aggregates and per-request trees can never
+    disagree about a stage's duration.
     """
-    from ..profiling import profiler
-
     parent = current_span()
-    registry = profiler()
-    if parent is None and not registry.enabled:
-        yield None
-        return
     node = parent.child(name, attrs=attrs) if parent is not None else None
     if node is not None:
-        previous = parent
         _ACTIVE.span = node
     start = time.perf_counter()
     try:
@@ -393,12 +353,11 @@ def timed_span(name: str, *, items: int = 0, attrs: "dict | None" = None):
         raise
     finally:
         elapsed = time.perf_counter() - start
-        if registry.enabled:
-            registry.record(name, elapsed, items)
+        span_histograms().observe(name, elapsed, items)
         if node is not None:
             with node._lock:
                 if node.duration is None:
                     node.duration = elapsed
                     if items:
                         node.attrs.setdefault("items", items)
-            _ACTIVE.span = previous
+            _ACTIVE.span = parent

@@ -14,7 +14,7 @@ from ...linalg.kernels import (
     synthesize_1q_batch,
 )
 from ...linalg.unitaries import allclose_up_to_global_phase
-from ...profiling import profiled
+from ...obs import timed
 from ..base import AnalysisDomain, PassContext
 from ..registry import OptimizationPass, register_pass
 
@@ -115,7 +115,7 @@ class Optimize1qGatesDecomposition(OptimizationPass):
             return results  # type: ignore[return-value]
 
         flat_gates = [instr.gate for _, run, _, _ in work for instr in run]
-        with profiled("pass.optimize_1q_gates.batch", items=len(flat_gates)):
+        with timed("pass.optimize_1q_gates.batch", items=len(flat_gates)):
             products = run_products_batch(
                 gate_matrices_batch(flat_gates), [len(run) for _, run, _, _ in work]
             )

@@ -26,9 +26,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from ..circuit.circuit import QuantumCircuit
-from ..obs import timed_span
+from ..obs import timed, timed_span
 from ..passes.base import BasePass, PassContext
-from ..profiling import profiler
 from .properties import AnalysisCache, TransformCache
 
 __all__ = ["PassRunner", "RepeatUntilStable", "Stage", "PassManager"]
@@ -69,13 +68,10 @@ class PassRunner:
             memo = self.transform_cache.get(key)
             if memo is not None:
                 return memo
-        registry = profiler()
-        if registry.enabled:
-            # Per-pass wall time through the one choke point every pass
-            # execution flows through; ``items`` counts processed gates.
-            with registry.timed(f"pass.{pass_.name}", items=len(circuit)):
-                out = pass_.run(circuit, context)
-        else:
+        # Per-pass wall time through the one choke point every pass execution
+        # flows through; ``items`` counts processed gates.  Histogram only:
+        # pass timings never appear in trace trees.
+        with timed(f"pass.{pass_.name}", items=len(circuit)):
             out = pass_.run(circuit, context)
         if self.cache is not None and out is not circuit:
             self.cache.carry_forward(circuit, out, pass_.preserves)
@@ -177,7 +173,7 @@ class PassManager:
             if stage.name in seen:
                 raise ValueError(
                     f"duplicate stage name {stage.name!r} in schedule {name!r}; "
-                    "stage names must be unique so overrides and profiling can "
+                    "stage names must be unique so overrides and metrics can "
                     "address stages unambiguously"
                 )
             seen.add(stage.name)
@@ -214,11 +210,10 @@ class PassManager:
                 return runner.apply(pass_, circ, context)
 
             # Per-stage wall time under the stage's schedule name, so
-            # --profile and /metrics attribute time to the same names that
-            # overrides address (pass-level timings nest inside).  One
-            # measurement feeds both the profile registry (when enabled) and
-            # a child span of the request's trace (when one is active on
-            # this thread); with both off the block runs untimed.
+            # /metrics attributes time to the same names that overrides
+            # address (pass-level timings nest inside).  One measurement
+            # feeds the always-on histogram and, when a trace is active on
+            # this thread, a child span of the request's trace.
             with timed_span(f"stage.{stage.name}", items=len(circuit)):
                 circuit = self._run_stage(stage, circuit, context, emit)
         return circuit

@@ -217,13 +217,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "to the least-loaded ready peer",
     )
     parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="enable hot-path profiling: per-pass and per-kernel wall-time "
-        "counters, exposed in stats() under 'profiling' (and through the "
-        "gateway's /v1/stats and /metrics)",
-    )
-    parser.add_argument(
         "--json-logs",
         action="store_true",
         help="emit structured JSON logs on stderr (one object per line, "
@@ -291,10 +284,6 @@ def main(argv: list[str] | None = None) -> int:
         configure_json_logging()
     if args.serve_cache:
         return _serve_cache(args)
-    if args.profile:
-        from ..profiling import enable_profiling
-
-        enable_profiling()
     if args.bind is not None:
         args.host, args.port = args.bind
     authkey = None

@@ -56,8 +56,7 @@ from ..api.facade import apply_pass_overrides, resolve_backend
 from ..api.registry import CompilerBackend
 from ..api.result import CompilationResult
 from ..devices.library import get_device
-from ..obs import Span, activate, as_context
-from ..profiling import profiler, profiling_enabled
+from ..obs import Span, activate, as_context, span_histograms
 from ..reward.functions import reward_function
 from .sharding import ShardedCacheStore
 from .store import SharedCacheStore
@@ -189,38 +188,33 @@ def _deadline_result(request: "CompileRequest") -> CompilationResult:
     return result
 
 
-def _service_compile_task(payload: tuple) -> CompilationResult:
-    """One worker-side compilation, optionally against the shared store.
+def _process_lane_task(payload: tuple) -> CompilationResult:
+    """One compilation inside a process-lane worker, optionally against the shared store.
 
     Module-level so process lanes can pickle it.  When a shared store client
     rides along, the worker checks it before compiling and fills it after —
     that is what makes results flow *between worker processes* instead of
-    only through the parent.
+    only through the parent.  (Thread lanes call ``_compile_task`` directly:
+    they share the parent's span histograms and active span.)
 
-    ``trace_ctx`` and ``profile`` are the observability halves of the pickle
-    boundary, both used only by process lanes (thread lanes run this function
-    inline with the execute span already active on the calling thread, and
-    share the parent's profile registry directly):
+    Observability crosses the pickle boundary in one transient metadata key,
+    ``metadata["_worker"]``, which the parent strips before the result can
+    reach a cache or a caller:
 
-    * a non-``None`` ``trace_ctx`` makes the worker collect its pipeline
-      spans under a shadow container and ship them home as plain dicts in
-      ``metadata["_worker_spans"]`` — the parent grafts them under the real
-      ``lane.execute`` span and strips the transient key;
-    * ``profile=True`` makes the worker reset and enable its own (per-process)
-      global registry around the task and ship the exact per-task counter
-      delta back in ``metadata["_worker_profile"]``.  The reset matters with
-      fork start methods, where the child inherits whatever counters the
-      parent had at fork time; each worker process runs one task at a time,
-      so clear-then-snapshot is an exact delta.
+    * ``"histograms"`` — the worker resets its own (per-process) span
+      histograms at task start and ships their snapshot, the exact per-task
+      delta (each worker process runs one task at a time), for the parent to
+      merge;
+    * ``"spans"`` — with a non-``None`` ``trace_ctx`` the worker collects its
+      pipeline spans under a shadow container and ships them as plain dicts
+      for the parent to graft under the real ``lane.execute`` span.
 
-    Both transient keys are attached *after* any shared-store ``put``, so the
+    The key is attached *after* any shared-store ``put``, so the
     cross-process cache never stores per-request observability payloads.
     """
-    circuit, backend, device, objective, seed, key, store, trace_ctx, profile = payload
-    registry = profiler()
-    if profile:
-        registry.clear()
-        registry.enabled = True
+    circuit, backend, device, objective, seed, key, store, trace_ctx = payload
+    histograms = span_histograms()
+    histograms.reset()
     if store is not None:
         try:
             hit = store.get(key)
@@ -244,13 +238,10 @@ def _service_compile_task(payload: tuple) -> CompilationResult:
             # A dead cache server must not fail a compilation that succeeded:
             # the fill is best-effort, exactly like the parent-side cache put.
             pass
-    extras = {}
-    if container is not None and container.children:
-        extras["_worker_spans"] = [child.to_dict() for child in container.children]
-    if profile:
-        extras["_worker_profile"] = registry.snapshot()
-    if extras:
-        result.metadata = {**result.metadata, **extras}
+    worker = {"histograms": histograms.snapshot()}
+    if container is not None:
+        worker["spans"] = [child.to_dict() for child in container.children]
+    result.metadata = {**result.metadata, "_worker": worker}
     return result
 
 
@@ -933,18 +924,8 @@ class CompileService:
             },
             "cache": cache_stats,
             "shared_cache": self._shared_store is not None,
-            "profiling": self._profiling_stats(),
+            "spans": span_histograms().snapshot(),
         }
-
-    @staticmethod
-    def _profiling_stats() -> dict:
-        """Hot-path timing counters (empty unless profiling is enabled)."""
-        from ..profiling import profiler
-
-        registry = profiler()
-        if not registry.enabled:
-            return {"enabled": False, "counters": {}}
-        return {"enabled": True, "counters": registry.snapshot()}
 
     # -- scheduler -------------------------------------------------------------------
 
@@ -1097,45 +1078,33 @@ class CompileService:
             )
             request.execute_span = execute_span
         self._notify("started", request)
-        store = self._shared_store if lane.kind == "process" else None
-        # Process lanes carry the trace as a picklable context and profile as
-        # a flag (the worker process has its own registry); thread lanes get
-        # both for free — the execute span is activated on this thread and
-        # the global registry is shared in-process.
-        trace_ctx = (
-            execute_span.context()
-            if execute_span is not None and lane.kind == "process"
-            else None
-        )
-        payload = (
+        task = (
             request.circuit,
             request.backend,
             request.device,
             request.objective,
             request.seed,
-            key,
-            store,
-            trace_ctx,
-            lane.kind == "process" and profiling_enabled(),
         )
         try:
             if lane.pool is not None:
-                result = lane.pool.submit(_service_compile_task, payload).result()
+                # Process lanes carry the trace as a picklable context; the
+                # worker ships its histogram delta and spans home in the
+                # transient ``_worker`` key, stripped here before the result
+                # can reach the parent cache or any caller.
+                trace_ctx = execute_span.context() if execute_span is not None else None
+                payload = (*task, key, self._shared_store, trace_ctx)
+                result = lane.pool.submit(_process_lane_task, payload).result()
+                worker = result.metadata.pop("_worker", None)
+                if worker:
+                    span_histograms().merge(worker["histograms"])
+                    # "spans" is present only when a trace_ctx was sent.
+                    for subtree in worker.get("spans", ()):
+                        execute_span.add(subtree)
             else:
                 with activate(execute_span):
-                    result = _service_compile_task(payload)
+                    result = _compile_task(task)
         except Exception as exc:  # noqa: BLE001 - pool-level failure (e.g. broken pool)
             result = _failure_result(request.circuit, request.backend.name, request.objective, exc)
-        if lane.kind == "process":
-            # Strip the worker's transient observability payloads before the
-            # result can reach the parent cache or any caller.
-            worker_spans = result.metadata.pop("_worker_spans", None)
-            worker_profile = result.metadata.pop("_worker_profile", None)
-            if worker_spans and execute_span is not None:
-                for subtree in worker_spans:
-                    execute_span.add(subtree)
-            if worker_profile:
-                profiler().merge(worker_profile)
         if execute_span is not None:
             execute_span.finish(status="ok" if result.succeeded else "error")
         self._complete(request, key, result)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import time
 import urllib.request
+from concurrent.futures import Future
 
 import pytest
 
@@ -21,6 +22,7 @@ from repro.gateway import (
 )
 from repro.gateway.auth import AuthError, RateLimited
 from repro.gateway.metrics import quantile
+from repro.obs import span_histograms
 from repro.service import CompileService
 
 
@@ -311,7 +313,7 @@ class TestGatewayHTTP:
         assert "# TYPE repro_service_queue_depth gauge" in text
         assert "repro_service_requests_total" in text
         assert 'repro_gateway_tenant_served_total{tenant="alice"}' in text
-        assert 'quantile="0.95"' in text
+        assert "# TYPE repro_span_duration_seconds histogram" in text
         assert "repro_gateway_ready 1" in text
 
     def test_healthz_ok(self, gateway):
@@ -480,9 +482,23 @@ class TestObservabilityHTTP:
                 totals[label] = float(line.rsplit(" ", 1)[1])
         assert "tenant:alice" in inf_counts
         assert inf_counts == totals  # the +Inf bucket is the series total
-        # The windowed quantile view survives under its new gauge name.
-        assert "# TYPE repro_gateway_request_latency_quantile_seconds gauge" in text
-        assert 'quantile="0.95"' in text
+        # Only the aggregatable histogram is exported; the windowed
+        # per-tenant quantiles stay in /v1/stats for the dashboard.
+        assert 'quantile="' not in text
+        assert client.stats()["gateway"]["latency"]["tenant:alice"]["p95_seconds"] > 0
+
+    @pytest.mark.parametrize("process_lane", [False, True], ids=["thread", "process"])
+    def test_stage_histograms_count_every_compile(self, ghz3, process_lane):
+        """No opt-in: /metrics counts one stage.routing per preset compile."""
+        lanes = {"process_backends": ("qiskit-o0",)} if process_lane else {}
+        span_histograms().reset()  # a fresh process's sink
+        with CompileService(max_workers=1, **lanes) as service:
+            with GatewayServer(service, sample_interval=0) as gw:
+                client = GatewayClient(gw.url)
+                for seed in range(3):
+                    assert client.compile(ghz3, backend="qiskit-o0", seed=seed).succeeded
+                text = client.metrics()
+        assert 'repro_span_duration_seconds_count{span="stage.routing"} 3' in text.splitlines()
 
     def test_slow_request_log_feeds_stats(self, gateway, ghz3):
         client = GatewayClient(gateway.url, api_key="alice-key")
@@ -502,3 +518,33 @@ class TestObservabilityHTTP:
         events = list(client.events(job_id, timeout=60))
         assert events[-1]["event"] == "done"
         assert all(event["trace_id"] == "trace-sse-77" for event in events)
+
+
+class _RaisingService:
+    """A service stand-in whose futures fail instead of holding a result."""
+
+    def stats(self):
+        return {}
+
+    def add_observer(self, fn):
+        pass
+
+    def remove_observer(self, fn):
+        pass
+
+    def submit(self, *args, **kwargs):
+        future = Future()
+        future.set_exception(RuntimeError("lane exploded"))
+        return future
+
+
+def test_failed_future_result_carries_the_submitted_circuit(ghz3):
+    with GatewayServer(_RaisingService(), sample_interval=0) as gw:
+        job = gw.submit(
+            gw.authenticate(None), {"qasm": to_qasm(ghz3), "name": "my-ghz"}, "async"
+        )
+    assert job.done
+    assert not job.result.succeeded
+    assert "lane exploded" in job.result.error
+    assert job.result.circuit.name == "my-ghz"
+    assert job.result.circuit.num_qubits == ghz3.num_qubits

@@ -365,50 +365,3 @@ class TestOptimize1qGoldenGuard:
                 f"{case['circuit']} on {case['device']} — check the 1q kernels"
             )
 
-
-class TestProfilingPlumbing:
-    def test_pass_and_kernel_counters_flow_to_service_stats(self):
-        from repro.profiling import disable_profiling, enable_profiling, profiler
-
-        enable_profiling(clear=True)
-        try:
-            circuit = benchmark_circuit("qft", 4)
-            device = get_device("ibmq_washington")
-            manager = preset_pass_manager("qiskit", 3)
-            run_preset_manager(manager, circuit, device, seed=0)
-            feature_vectors_batch([circuit])
-            snapshot = profiler().snapshot()
-        finally:
-            disable_profiling()
-        assert any(name.startswith("pass.") for name in snapshot)
-        assert "kernel.feature_vectors_batch" in snapshot
-        entry = snapshot["kernel.feature_vectors_batch"]
-        assert entry["calls"] >= 1 and entry["items"] >= 1
-
-    def test_prometheus_exposition_includes_hotpath_sites(self):
-        from repro.gateway.metrics import render_prometheus
-
-        stats = {
-            "profiling": {
-                "enabled": True,
-                "counters": {
-                    "pass.demo": {
-                        "calls": 2,
-                        "total_seconds": 0.25,
-                        "mean_seconds": 0.125,
-                        "items": 40,
-                        "items_per_second": 160.0,
-                    }
-                },
-            }
-        }
-        text = render_prometheus(stats)
-        assert 'repro_service_hotpath_seconds_total{site="pass.demo"} 0.25' in text
-        assert 'repro_service_hotpath_calls_total{site="pass.demo"} 2' in text
-        assert 'repro_service_hotpath_items_total{site="pass.demo"} 40' in text
-
-    def test_disabled_profiling_renders_nothing(self):
-        from repro.gateway.metrics import render_prometheus
-
-        text = render_prometheus({"profiling": {"enabled": False, "counters": {}}})
-        assert "hotpath" not in text

@@ -1,10 +1,11 @@
 """Tests for the observability subsystem: tracing, JSON logs, slow-request log.
 
 Covers the span core (tree building, serialisation, propagation seams), the
-:func:`~repro.obs.timed_span` / profiler contract, trace propagation through
-the compile service (in-process, coalesced, process-lane, and remote), and
-the supporting pieces: :class:`~repro.obs.SlowRequestLog` and the JSON log
-formatter's trace stamping.
+always-on span histograms and their :func:`~repro.obs.timed_span` /
+:func:`~repro.obs.timed` contract, trace propagation and histogram merging
+through the compile service (in-process, coalesced, process-lane, and
+remote), and the supporting pieces: :class:`~repro.obs.SlowRequestLog` and
+the JSON log formatter's trace stamping.
 """
 
 from __future__ import annotations
@@ -15,14 +16,20 @@ import re
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
 
 from repro.api.result import CompilationResult
 from repro.bench import benchmark_circuit
-from repro.gateway.metrics import quantile
+from repro.compilers.presets import preset_pass_manager, run_preset_manager
+from repro.devices import get_device
+from repro.features import feature_vectors_batch
+from repro.gateway.metrics import quantile, render_prometheus
 from repro.obs import (
+    BUCKETS,
+    Histograms,
     JsonFormatter,
     SlowRequestLog,
     Span,
@@ -34,10 +41,11 @@ from repro.obs import (
     get_logger,
     new_trace_id,
     span,
+    span_histograms,
+    timed,
     timed_span,
     valid_trace_id,
 )
-from repro.profiling import disable_profiling, enable_profiling, profiler
 from repro.service import CacheServer, CompileService, ServiceClient
 
 
@@ -47,13 +55,9 @@ def ghz4():
 
 
 @pytest.fixture(autouse=True)
-def _profiling_off():
-    """Every test starts and ends with the profile registry disabled."""
-    disable_profiling()
-    profiler().clear()
-    yield
-    disable_profiling()
-    profiler().clear()
+def _fresh_histograms():
+    """Every test starts with empty process-global span histograms."""
+    span_histograms().reset()
 
 
 # ---------------------------------------------------------------------------------
@@ -171,31 +175,132 @@ class TestPropagation:
         assert seen["node"].parent_id == root.span_id
         assert root.children[0].name == "thread.work"
 
-    def test_timed_span_feeds_span_and_profiler_identically(self):
-        registry = enable_profiling(clear=True)
+    def test_timed_span_feeds_span_and_histogram_identically(self):
         root = Span("root")
         with activate(root):
             with timed_span("stage.test", items=7) as node:
                 pass
-        counters = registry.snapshot()
-        assert counters["stage.test"]["calls"] == 1
-        assert counters["stage.test"]["items"] == 7
+        entry = span_histograms().snapshot()["stage.test"]
+        assert entry["count"] == 1
+        assert entry["items"] == 7
         # One perf_counter pair serves both sinks.
-        assert node.duration == pytest.approx(counters["stage.test"]["total_seconds"])
+        assert node.duration == entry["sum"]
         assert node.attrs["items"] == 7
 
-    def test_timed_span_profiles_without_a_trace(self):
-        registry = enable_profiling(clear=True)
+    def test_timed_span_records_without_a_trace(self):
         with timed_span("stage.lonely", items=2) as node:
             pass
         assert node is None
-        assert registry.snapshot()["stage.lonely"]["calls"] == 1
+        assert span_histograms().snapshot()["stage.lonely"]["count"] == 1
 
-    def test_timed_span_is_a_noop_when_both_sinks_are_off(self):
-        with timed_span("stage.ghost") as node:
-            pass
-        assert node is None
-        assert "stage.ghost" not in profiler().snapshot()
+    def test_timed_records_no_span(self):
+        root = Span("root")
+        with activate(root):
+            with timed("kernel.test", items=3):
+                pass
+        assert root.children == []
+        entry = span_histograms().snapshot()["kernel.test"]
+        assert (entry["count"], entry["items"]) == (1, 3)
+
+
+# ---------------------------------------------------------------------------------
+# always-on span histograms
+# ---------------------------------------------------------------------------------
+
+
+class TestHistograms:
+    def test_buckets_are_cumulative_with_an_inf_tail(self):
+        hist = Histograms()
+        for seconds in (0.00005, 0.0001, 0.003, 0.003, 42.0):
+            hist.observe("site", seconds, items=2)
+        entry = hist.snapshot()["site"]
+        assert len(entry["buckets"]) == len(BUCKETS) + 1
+        by_le = dict(zip(BUCKETS, entry["buckets"]))
+        assert by_le[0.0001] == 2  # upper bounds are inclusive
+        assert by_le[0.0025] == 2
+        assert by_le[0.005] == 4
+        assert by_le[10.0] == 4
+        assert entry["buckets"][-1] == entry["count"] == 5
+        assert entry["sum"] == pytest.approx(42.00615)
+        assert entry["items"] == 10
+
+    def test_merge_adds_another_snapshot(self):
+        worker = Histograms()
+        worker.observe("stage.routing", 0.02, items=5)
+        worker.observe("kernel.k", 0.0003)
+        parent = Histograms()
+        parent.observe("stage.routing", 3.0, items=1)
+        # The snapshot crosses a process boundary as plain JSON-able data.
+        parent.merge(json.loads(json.dumps(worker.snapshot())))
+        merged = parent.snapshot()
+        assert merged["stage.routing"]["count"] == 2
+        assert merged["stage.routing"]["items"] == 6
+        assert merged["stage.routing"]["sum"] == pytest.approx(3.02)
+        assert merged["kernel.k"] == worker.snapshot()["kernel.k"]
+        reference = Histograms()
+        for seconds in (0.02, 3.0):
+            reference.observe("stage.routing", seconds)
+        assert merged["stage.routing"]["buckets"] == reference.snapshot()["stage.routing"]["buckets"]
+
+    def test_concurrent_observations_are_not_lost(self):
+        hist = Histograms()
+        n_threads, per_thread = 8, 2000
+
+        def work():
+            for _ in range(per_thread):
+                hist.observe("hot", 0.001, items=1)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work) for _ in range(n_threads)]
+            for worker in workers:
+                worker.start()
+            deadline = time.monotonic() + 60
+            while any(w.is_alive() for w in workers) and time.monotonic() < deadline:
+                hist.snapshot()  # readers race the writers
+            for worker in workers:
+                worker.join(timeout=5)
+                assert not worker.is_alive()
+        finally:
+            sys.setswitchinterval(previous)
+        entry = hist.snapshot()["hot"]
+        assert entry["count"] == entry["items"] == n_threads * per_thread
+
+    def test_reset_empties_the_sink(self):
+        hist = Histograms()
+        hist.observe("x", 0.1)
+        hist.reset()
+        assert hist.snapshot() == {}
+
+    def test_pass_and_kernel_sites_record_without_opt_in(self):
+        circuit = benchmark_circuit("qft", 4)
+        manager = preset_pass_manager("qiskit", 3)
+        run_preset_manager(manager, circuit, get_device("ibmq_washington"), seed=0)
+        feature_vectors_batch([circuit])
+        spans = span_histograms().snapshot()
+        assert any(name.startswith("pass.") for name in spans)
+        assert any(name.startswith("stage.") for name in spans)
+        entry = spans["kernel.feature_vectors_batch"]
+        assert entry["count"] == 1 and entry["items"] == 1
+
+    def test_prometheus_exposition_of_span_histograms(self):
+        hist = Histograms()
+        hist.observe("pass.demo", 0.0002, items=15)
+        hist.observe("pass.demo", 0.3, items=25)
+        hist.observe("stage.quiet", 0.001)
+        text = render_prometheus({"spans": hist.snapshot()})
+        assert "# TYPE repro_span_duration_seconds histogram" in text
+        assert 'repro_span_duration_seconds_bucket{le="0.00025",span="pass.demo"} 1' in text
+        assert 'repro_span_duration_seconds_bucket{le="+Inf",span="pass.demo"} 2' in text
+        assert 'repro_span_duration_seconds_count{span="pass.demo"} 2' in text
+        assert 'repro_span_duration_seconds_sum{span="pass.demo"} 0.3002' in text
+        assert 'repro_span_items_total{span="pass.demo"} 40' in text
+        # Sites that count no items export no items series.
+        assert 'repro_span_items_total{span="stage.quiet"}' not in text
+
+    def test_no_spans_render_nothing(self):
+        assert "repro_span" not in render_prometheus({})
 
 
 # ---------------------------------------------------------------------------------
@@ -432,10 +537,9 @@ class TestServiceTracing:
         assert find_spans(owner_tree, "queue.wait")
         assert find_spans(follower_tree, "queue.wait")
 
-    def test_process_lane_trace_and_profile_merge(self, ghz4):
+    def test_process_lane_trace_comes_home(self, ghz4):
         server = CacheServer(maxsize=64)
         try:
-            registry = enable_profiling(clear=True)
             root = Span("process.root")
             with CompileService(
                 store=server.store(), process_backends=("qiskit-o1",), max_workers=1
@@ -447,19 +551,39 @@ class TestServiceTracing:
             tree = result.metadata["trace"]
             # The worker's spans came home across the pickle boundary (grafted
             # under lane.execute, same shape as a thread lane) and the
-            # transport keys were stripped before the result reached us.
+            # transport key was stripped before the result reached us.
             assert "lane.execute" in span_names(tree)
             assert {n for n in span_names(tree) if n.startswith("stage.")}
-            assert "_worker_spans" not in result.metadata
-            assert "_worker_profile" not in result.metadata
-            # Satellite: the worker's profile counters merged into the parent
-            # registry, so --profile sees process-lane stages.
-            counters = registry.snapshot()
-            stage_counters = {n for n in counters if n.startswith("stage.")}
-            assert stage_counters, counters.keys()
-            assert all(counters[n]["calls"] >= 1 for n in stage_counters)
+            assert "_worker" not in result.metadata
         finally:
             server.shutdown()
+
+    def test_process_lane_histograms_count_every_request(self, ghz4):
+        """N untraced process-lane requests add exactly N to every stage.
+
+        A thread-lane compile first leaves stage counts in this process's
+        sink, so a forked worker that shipped inherited counts, or a worker
+        that shipped cumulative rather than per-task counts across its
+        sequential tasks, would overshoot.
+        """
+        with CompileService(max_workers=1) as warm:
+            warm.submit(ghz4, "qiskit-o1", device="ibmq_washington", seed=100).result(
+                timeout=120
+            )
+        before = span_histograms().snapshot()
+        assert before["stage.routing"]["count"] == 1
+        n = 3
+        with CompileService(process_backends=("qiskit-o1",), max_workers=1) as service:
+            futures = [
+                service.submit(ghz4, "qiskit-o1", device="ibmq_washington", seed=seed)
+                for seed in range(n)
+            ]
+            assert all(f.result(timeout=180).succeeded for f in futures)
+            spans = service.stats()["spans"]
+        stages = {name for name in spans if name.startswith("stage.")}
+        assert stages == {name for name in before if name.startswith("stage.")}
+        for name in stages:
+            assert spans[name]["count"] - before[name]["count"] == n, name
 
 
 class TestResultTraceRoundTrip:

@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import math
+import re
+import time
 
+import numpy as np
 import pytest
 
 from repro.circuit import QasmError, QuantumCircuit, from_qasm, random_circuit, to_qasm
+from repro.circuit.qasm import _eval_param, _format_param
 from repro.linalg import allclose_up_to_global_phase, circuit_unitary
 
 
@@ -143,6 +147,41 @@ class TestMalformedInput:
     def test_barrier_undeclared_register(self):
         with pytest.raises(QasmError, match="undeclared"):
             from_qasm('OPENQASM 2.0;\nqreg q[3];\ncreg c[3];\nbarrier r;\n')
+
+
+def _eval_reference(expr: str) -> float:
+    """The parameter evaluator before the recursive-descent parser: ``eval``."""
+    text = expr.strip().replace("pi", repr(math.pi))
+    assert re.fullmatch(r"[0-9eE\.\+\-\*/\(\) ]+", text)
+    return float(eval(text, {"__builtins__": {}}, {}))
+
+
+class TestParameterEvaluator:
+    HEADER = 'OPENQASM 2.0;\nqreg q[1];\ncreg c[1];\n'
+
+    @pytest.mark.parametrize("expr", ["2**3", "9**9**9", "pi**2"])
+    def test_power_is_rejected_fast(self, expr):
+        start = time.perf_counter()
+        with pytest.raises(QasmError, match="parameter expression"):
+            from_qasm(self.HEADER + f"rz({expr}) q[0];\n")
+        assert time.perf_counter() - start < 1.0
+
+    def test_matches_eval_bit_for_bit(self):
+        corpus = [
+            _format_param(num * math.pi / denom)
+            for denom in (1, 2, 3, 4, 6, 8, 16)
+            for num in range(-16 * denom, 16 * denom + 1)
+            if num
+        ]
+        rng = np.random.default_rng(7)
+        for value in rng.uniform(-10, 10, 200) * 10.0 ** rng.integers(-20, 20, 200):
+            corpus += [_format_param(value), repr(float(value)), "+" + repr(float(value))]
+        corpus += [
+            "0", "1e-05", "-2.5E+3", ".5", "5.", "1-2-3", "8/2/2", "2*-3",
+            "--3", "-+-pi*3/4", "-pi/2", " pi * 3 / 4 ", "(pi+1)*2", "-(pi)/2",
+        ]
+        for expr in corpus:
+            assert _eval_param(expr).hex() == _eval_reference(expr).hex(), expr
 
 
 class TestRoundTrip:

@@ -1,10 +1,11 @@
 #!/usr/bin/env python
 """CI lint: the Prometheus exposition must be well-formed.
 
-Renders a synthetic but fully-populated ``/metrics`` page (service stats with
-lanes and profiling counters, gateway counters, tenant stats, a latency
-window with observations across several buckets, and a health payload),
-parses it line by line, and fails if
+Renders a fully-populated ``/metrics`` page — the real
+``CompileService.stats()`` taken after one compile (so the lint covers the
+stats shape that actually ships, span histograms included) plus gateway
+counters, tenant stats, a latency window with observations across several
+buckets, and a health payload — parses it line by line, and fails if
 
 * a metric family is declared twice (duplicate ``HELP``/``TYPE``) or has a
   ``TYPE`` without ``HELP`` (or vice versa),
@@ -31,7 +32,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from repro.bench import benchmark_circuit  # noqa: E402
 from repro.gateway.metrics import LatencyWindow, render_prometheus  # noqa: E402
+from repro.service import CompileService  # noqa: E402
 
 _VALID_TYPES = {"counter", "gauge", "histogram", "summary"}
 _SAMPLE_RE = re.compile(
@@ -40,34 +43,22 @@ _SAMPLE_RE = re.compile(
 _LABEL_RE = re.compile(r'([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\]|\\.)*)"')
 
 
-def synthetic_exposition() -> str:
+def exposition() -> str:
     """Render a ``/metrics`` page exercising every family the gateway emits."""
     latency = LatencyWindow(window=64)
     for label, values in {
         "tenant:alice": [0.003, 0.02, 0.09, 0.4, 1.7, 12.0],
-        "priority:0": [0.001, 0.05, 0.05, 0.3],
+        "priority:0": [0.00005, 0.05, 0.05, 0.3],
     }.items():
         for value in values:
             latency.observe(label, value)
-    service_stats = {
-        "submitted": 12,
-        "completed": 10,
-        "failed": 1,
-        "queue_depth": 2,
-        "in_flight": 1,
-        "cache": {"hit_rate": 0.5},
-        "lanes": {
-            "qiskit-o3": {"workers": 2, "queue_depth": 1},
-            "tket-o2": {"workers": 1, "queue_depth": 0},
-        },
-        "profiling": {
-            "enabled": True,
-            "counters": {
-                "stage.routing": {"calls": 4, "total_seconds": 0.12, "items": 96},
-                "resynth.1q": {"calls": 9, "total_seconds": 0.03, "items": 0},
-            },
-        },
-    }
+    with CompileService(max_workers=1) as service:
+        service.submit(
+            benchmark_circuit("ghz", 3), "qiskit-o1", device="ibmq_washington"
+        ).result(timeout=120)
+        service_stats = service.stats()
+    if not service_stats["spans"]:
+        raise SystemExit("metrics lint: one compile recorded no span histograms")
     return render_prometheus(
         service_stats,
         gateway_counters={"requests": 14, "errors": 1, "rate_limited": 2},
@@ -204,7 +195,7 @@ def check(text: str) -> list[str]:
 
 
 def main() -> int:
-    text = synthetic_exposition()
+    text = exposition()
     errors = check(text)
     if errors:
         print(f"metrics lint: {len(errors)} violation(s)")
