@@ -11,10 +11,14 @@ Scale knobs (environment variables):
 * ``REPRO_TRAIN_STEPS``   — PPO timesteps per model (default 6000; paper: 100000)
 * ``REPRO_BENCH_QUBITS``  — qubit count for the per-family evaluation circuits (default 5)
 * ``REPRO_MAX_QUBITS``    — maximum qubit count of the training suite (default 6)
+
+``REPRO_BENCH_WRITE=1`` records a run: the ``BENCH_*.json`` writers and
+:func:`report` update ``benchmarks/results/``.  Without it they only print.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import sys
 from pathlib import Path
@@ -31,18 +35,42 @@ from repro.core.training import TrainingConfig, train_all_models  # noqa: E402
 from repro.evaluation import compare_predictor  # noqa: E402
 from repro.rl import PPOConfig  # noqa: E402
 
+RESULTS_DIR = Path(__file__).resolve().parent / "results"
+
+#: the committed result files change only when a run is meant to record them
+WRITE_RESULTS = os.environ.get("REPRO_BENCH_WRITE", "") == "1"
+
+
+def write_results(filename: str, payload: dict, config: dict) -> None:
+    """Merge ``payload`` and ``config`` into ``results/<filename>`` (JSON).
+
+    Only with ``REPRO_BENCH_WRITE=1``: a plain test run leaves the committed
+    files alone.
+    """
+    if not WRITE_RESULTS:
+        return
+    RESULTS_DIR.mkdir(exist_ok=True)
+    path = RESULTS_DIR / filename
+    data = json.loads(path.read_text()) if path.exists() else {}
+    data.update(payload)
+    data["config"] = config
+    path.write_text(json.dumps(data, indent=1, sort_keys=True))
+
+
 def report(text: str) -> None:
     """Emit reproduction data so it is visible even with pytest output capture on.
 
     Benchmark runs are typically invoked as ``pytest benchmarks/ --benchmark-only``
     (without ``-s``); writing to the real stdout keeps the regenerated figure
-    and table data in the console / ``bench_output.txt`` log, and a copy is
-    appended to ``benchmarks/results/latest.txt`` for later inspection.
+    and table data in the console / ``bench_output.txt`` log.  With
+    ``REPRO_BENCH_WRITE=1`` a copy is appended to
+    ``benchmarks/results/latest.txt`` for later inspection.
     """
     print(text, file=sys.__stdout__)
-    results_dir = Path(__file__).resolve().parent / "results"
-    results_dir.mkdir(exist_ok=True)
-    with open(results_dir / "latest.txt", "a", encoding="utf-8") as handle:
+    if not WRITE_RESULTS:
+        return
+    RESULTS_DIR.mkdir(exist_ok=True)
+    with open(RESULTS_DIR / "latest.txt", "a", encoding="utf-8") as handle:
         handle.write(text + "\n")
 
 

@@ -1,7 +1,8 @@
 """Cluster-fabric benchmark: requests/sec and cache hit-rate across hosts.
 
 Measures what the multi-node fabric buys a deployment and writes the numbers
-to ``benchmarks/results/BENCH_cluster.json``:
+to ``benchmarks/results/BENCH_cluster.json`` (with
+``REPRO_BENCH_WRITE=1``):
 
 * **1 vs 2 hosts** — the same workload served by one compile host, then
   round-robined across two hosts that mount the *same* two TCP cache shards.
@@ -18,10 +19,8 @@ without burning minutes.
 
 from __future__ import annotations
 
-import json
 import os
 import time
-from pathlib import Path
 
 from repro.bench import benchmark_circuit
 from repro.service import (
@@ -31,10 +30,9 @@ from repro.service import (
     SharedCacheStore,
 )
 
-from conftest import report
+from conftest import report, write_results
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
-RESULTS_PATH = Path(__file__).resolve().parent / "results" / "BENCH_cluster.json"
 
 BACKENDS = ["qiskit-o1", "tket-o1"]
 HOST_COUNTS = (1, 2)
@@ -76,18 +74,11 @@ def _wave(hosts: "list[CompileService]", circuits) -> dict:
 
 
 def _write_results(payload: dict) -> None:
-    RESULTS_PATH.parent.mkdir(exist_ok=True)
-    data = {}
-    if RESULTS_PATH.exists():
-        data = json.loads(RESULTS_PATH.read_text())
-    data.update(payload)
-    data["config"] = {
-        "smoke": SMOKE,
-        "backends": BACKENDS,
-        "shards": N_SHARDS,
-        "cpu_count": os.cpu_count(),
-    }
-    RESULTS_PATH.write_text(json.dumps(data, indent=1, sort_keys=True))
+    write_results(
+        "BENCH_cluster.json",
+        payload,
+        {"smoke": SMOKE, "backends": BACKENDS, "shards": N_SHARDS, "cpu_count": os.cpu_count()},
+    )
 
 
 def test_cluster_throughput_and_hit_rate():

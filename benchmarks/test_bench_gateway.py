@@ -1,7 +1,8 @@
 """HTTP gateway benchmark: requests/sec and per-tenant latency over real HTTP.
 
 Measures the public surface the way an external caller would see it and
-writes the numbers to ``benchmarks/results/BENCH_gateway.json``:
+writes the numbers to ``benchmarks/results/BENCH_gateway.json`` (with
+``REPRO_BENCH_WRITE=1``):
 
 * **Concurrent HTTP clients** — N tenants (N in {1, 4, 8}), each holding a
   :class:`~repro.gateway.GatewayClient` over its own API key against one
@@ -21,11 +22,9 @@ without burning minutes.
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -33,10 +32,9 @@ from repro.bench import benchmark_circuit
 from repro.gateway import GatewayClient, GatewayServer, Tenant
 from repro.service import CompileService, ServiceClient
 
-from conftest import report
+from conftest import report, write_results
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
-RESULTS_PATH = Path(__file__).resolve().parent / "results" / "BENCH_gateway.json"
 
 BACKENDS = ["qiskit-o1", "tket-o1"]
 CLIENT_COUNTS = (1, 4, 8)
@@ -107,13 +105,11 @@ def _client_wave(gateway: GatewayServer, circuits, n_clients: int) -> dict:
 
 
 def _write_results(payload: dict) -> None:
-    RESULTS_PATH.parent.mkdir(exist_ok=True)
-    data = {}
-    if RESULTS_PATH.exists():
-        data = json.loads(RESULTS_PATH.read_text())
-    data.update(payload)
-    data["config"] = {"smoke": SMOKE, "backends": BACKENDS, "cpu_count": os.cpu_count()}
-    RESULTS_PATH.write_text(json.dumps(data, indent=1, sort_keys=True))
+    write_results(
+        "BENCH_gateway.json",
+        payload,
+        {"smoke": SMOKE, "backends": BACKENDS, "cpu_count": os.cpu_count()},
+    )
 
 
 def test_gateway_throughput():

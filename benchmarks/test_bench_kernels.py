@@ -1,7 +1,8 @@
 """Numeric-kernel benchmark: batched hot paths vs the scalar loops they replaced.
 
 Measures the three loops the kernel layer vectorises and writes before/after
-series to ``benchmarks/results/BENCH_kernels.json``:
+series to ``benchmarks/results/BENCH_kernels.json`` (with
+``REPRO_BENCH_WRITE=1``):
 
 * **1q resynthesis** — ``Optimize1qGatesDecomposition`` with the batched
   ``(N, 2, 2)`` kernels vs the per-run scalar ``_resynthesize`` reference,
@@ -23,11 +24,9 @@ assertions only run unsmoked.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -52,21 +51,16 @@ from repro.passes import (
     SabreSwap,
 )
 
-from conftest import report
+from conftest import report, write_results
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 TIMING_ROUNDS = 1 if SMOKE else 3
-RESULTS_PATH = Path(__file__).resolve().parent / "results" / "BENCH_kernels.json"
 
 
 def _write_results(section: str, payload: dict) -> None:
-    RESULTS_PATH.parent.mkdir(exist_ok=True)
-    data = {}
-    if RESULTS_PATH.exists():
-        data = json.loads(RESULTS_PATH.read_text())
-    data[section] = payload
-    data["config"] = {"smoke": SMOKE, "timing_rounds": TIMING_ROUNDS}
-    RESULTS_PATH.write_text(json.dumps(data, indent=1, sort_keys=True))
+    write_results(
+        "BENCH_kernels.json", {section: payload}, {"smoke": SMOKE, "timing_rounds": TIMING_ROUNDS}
+    )
 
 
 def _best_rate(fn, items: int) -> tuple[float, float]:

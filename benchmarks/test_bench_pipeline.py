@@ -1,7 +1,8 @@
 """Pipeline-layer benchmark: RL env stepping and preset wall time, cache on/off.
 
 Measures the two hot paths the pipeline refactor targets and writes the
-numbers to ``benchmarks/results/BENCH_pipeline.json`` so per-PR regressions
+numbers to ``benchmarks/results/BENCH_pipeline.json`` (with
+``REPRO_BENCH_WRITE=1``) so per-PR regressions
 are visible:
 
 * **Env stepping** — a fixed, scripted compilation flow executed over
@@ -21,10 +22,8 @@ Scale knobs: ``REPRO_BENCH_SMOKE=1`` shrinks everything to one repetition
 
 from __future__ import annotations
 
-import json
 import os
 import time
-from pathlib import Path
 
 from repro.api.batch import CompilationCache, compile_batch
 from repro.bench import benchmark_circuit
@@ -32,12 +31,11 @@ from repro.compilers import qiskit_pipeline, tket_pipeline
 from repro.core import CompilationEnv
 from repro.devices import get_device
 
-from conftest import report
+from conftest import report, write_results
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 EPISODES = 1 if SMOKE else 6
 TIMING_ROUNDS = 1 if SMOKE else 2
-RESULTS_PATH = Path(__file__).resolve().parent / "results" / "BENCH_pipeline.json"
 
 #: a fixed, always-valid compilation flow (the same one in both cache modes)
 SCRIPTED_FLOW = [
@@ -90,13 +88,9 @@ def _scripted_rollout(circuits, *, use_cache: bool):
 
 
 def _write_results(section: str, payload: dict) -> None:
-    RESULTS_PATH.parent.mkdir(exist_ok=True)
-    data = {}
-    if RESULTS_PATH.exists():
-        data = json.loads(RESULTS_PATH.read_text())
-    data[section] = payload
-    data["config"] = {"smoke": SMOKE, "episodes": EPISODES}
-    RESULTS_PATH.write_text(json.dumps(data, indent=1, sort_keys=True))
+    write_results(
+        "BENCH_pipeline.json", {section: payload}, {"smoke": SMOKE, "episodes": EPISODES}
+    )
 
 
 def test_env_stepping_cached_vs_bypassed():

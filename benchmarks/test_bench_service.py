@@ -1,7 +1,8 @@
 """Compile-service benchmark: requests/sec under concurrent clients.
 
 Measures the service layer the way a deployment would see it and writes the
-numbers to ``benchmarks/results/BENCH_service.json``:
+numbers to ``benchmarks/results/BENCH_service.json`` (with
+``REPRO_BENCH_WRITE=1``):
 
 * **Concurrent clients** — N client threads (N in {1, 4, 8}), each holding a
   :class:`~repro.service.ServiceClient` on one shared
@@ -25,21 +26,18 @@ without burning minutes.
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 import time
-from pathlib import Path
 
 import numpy as np
 
 from repro.bench import benchmark_circuit
 from repro.service import CompileService, ServiceClient
 
-from conftest import report
+from conftest import report, write_results
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
-RESULTS_PATH = Path(__file__).resolve().parent / "results" / "BENCH_service.json"
 
 BACKENDS = ["qiskit-o1", "tket-o1"]
 CLIENT_COUNTS = (1, 4, 8)
@@ -93,13 +91,11 @@ def _client_wave(service: CompileService, circuits, n_clients: int) -> dict:
 
 
 def _write_results(payload: dict) -> None:
-    RESULTS_PATH.parent.mkdir(exist_ok=True)
-    data = {}
-    if RESULTS_PATH.exists():
-        data = json.loads(RESULTS_PATH.read_text())
-    data.update(payload)
-    data["config"] = {"smoke": SMOKE, "backends": BACKENDS, "cpu_count": os.cpu_count()}
-    RESULTS_PATH.write_text(json.dumps(data, indent=1, sort_keys=True))
+    write_results(
+        "BENCH_service.json",
+        payload,
+        {"smoke": SMOKE, "backends": BACKENDS, "cpu_count": os.cpu_count()},
+    )
 
 
 def test_service_throughput_cold_vs_warm():

@@ -1,7 +1,8 @@
 """Vectorised-environment benchmark: fleet stepping throughput + batch executors.
 
 Measures the two parallel-execution paths this layer adds and writes the
-numbers to ``benchmarks/results/BENCH_vecenv.json``:
+numbers to ``benchmarks/results/BENCH_vecenv.json`` (with
+``REPRO_BENCH_WRITE=1``):
 
 * **Fleet stepping** — aggregate env-steps/sec of a synchronised
   :func:`~repro.rl.vecenv.make_compilation_vec_env` fleet (``n_envs`` in
@@ -25,10 +26,8 @@ artifact fresh without burning minutes).
 
 from __future__ import annotations
 
-import json
 import os
 import time
-from pathlib import Path
 
 from repro.api.batch import compile_batch
 from repro.bench import benchmark_circuit
@@ -37,11 +36,10 @@ from repro.rl import make_compilation_vec_env
 
 import numpy as np
 
-from conftest import report
+from conftest import report, write_results
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 EPOCHS = 1 if SMOKE else 4  # scripted epochs per fleet member
-RESULTS_PATH = Path(__file__).resolve().parent / "results" / "BENCH_vecenv.json"
 
 #: fixed, always-valid flow (same as the pipeline benchmark's hot loop)
 SCRIPTED_FLOW = [
@@ -67,13 +65,7 @@ def _bench_circuits():
 
 
 def _write_results(section: str, payload: dict) -> None:
-    RESULTS_PATH.parent.mkdir(exist_ok=True)
-    data = {}
-    if RESULTS_PATH.exists():
-        data = json.loads(RESULTS_PATH.read_text())
-    data[section] = payload
-    data["config"] = {"smoke": SMOKE, "epochs": EPOCHS}
-    RESULTS_PATH.write_text(json.dumps(data, indent=1, sort_keys=True))
+    write_results("BENCH_vecenv.json", {section: payload}, {"smoke": SMOKE, "epochs": EPOCHS})
 
 
 def _single_env_loop(circuits, episodes: int) -> dict:

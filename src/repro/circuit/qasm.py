@@ -38,14 +38,20 @@ class QasmError(ValueError):
 
 
 def _format_param(value: float) -> str:
-    """Render a parameter, using multiples of pi where exact."""
-    for denom in (1, 2, 3, 4, 6, 8, 16):
-        for num in range(-16 * denom, 16 * denom + 1):
-            if num == 0:
-                continue
-            if abs(value - num * math.pi / denom) < 1e-12:
-                frac = f"pi*{num}/{denom}" if denom != 1 else f"pi*{num}"
-                return frac
+    """Render a parameter, using multiples of pi where exact.
+
+    The first denominator (in order) with a nonzero numerator ``|num| <=
+    16*denom`` within 1e-12 of ``value`` wins.  Candidates are ``pi/denom``
+    apart, so at most one numerator per denominator can be that close, and
+    it is the nearest one: one ``round`` finds it.  Beyond ``16*pi`` (plus
+    the tolerance) no candidate exists, which also keeps inf and nan out of
+    ``round``.
+    """
+    if abs(value) <= 51.0:
+        for denom in (1, 2, 3, 4, 6, 8, 16):
+            num = round(value * denom / math.pi)
+            if num and abs(num) <= 16 * denom and abs(value - num * math.pi / denom) < 1e-12:
+                return f"pi*{num}/{denom}" if denom != 1 else f"pi*{num}"
     if abs(value) < 1e-15:
         return "0"
     return repr(float(value))
@@ -88,11 +94,14 @@ _MEASURE_RE = re.compile(
 )
 
 
+_NUMBER = r"[0-9]+\.?[0-9]*(?:[eE][+-]?[0-9]+)?|\.[0-9]+(?:[eE][+-]?[0-9]+)?"
+
 #: one parameter-expression token: a float literal, ``pi``, or an operator
-_PARAM_TOKEN_RE = re.compile(
-    r"\s*(?:([0-9]+\.?[0-9]*(?:[eE][+-]?[0-9]+)?|\.[0-9]+(?:[eE][+-]?[0-9]+)?)"
-    r"|(pi)|([-+*/()]))"
-)
+_PARAM_TOKEN_RE = re.compile(rf"\s*(?:({_NUMBER})|(pi)|([-+*/()]))")
+
+#: the two forms :func:`_format_param` emits: ``[-]literal`` and ``pi*N[/D]``
+_LITERAL_RE = re.compile(rf"-?(?:{_NUMBER})")
+_PI_MULTIPLE_RE = re.compile(r"pi\*(-?[0-9]+)(?:/([0-9]+))?")
 
 
 class _ParamParser:
@@ -167,8 +176,28 @@ def _eval_param(expr: str) -> float:
     time while holding the GIL.  Literals are parsed as floats and combined
     with Python's precedence rules, so every angle :func:`_format_param`
     emits reads back bit-identically.
+
+    The forms :func:`to_qasm` writes skip the parser: a signed literal is
+    one ``float`` (negating a float is exact, so ``float("-x") == -float("x")``)
+    and ``pi*N/D`` is the same left-to-right product and quotient the
+    parser computes.  Anything else, including a zero denominator, takes
+    the parser.
     """
     text = expr.strip()
+    if _LITERAL_RE.fullmatch(text):
+        return float(text)
+    match = _PI_MULTIPLE_RE.fullmatch(text)
+    if match:
+        num, denom = match.groups()
+        if denom is None:
+            return math.pi * float(num)
+        if float(denom):
+            return math.pi * float(num) / float(denom)
+    return _parse_param(text)
+
+
+def _parse_param(text: str) -> float:
+    """Tokenise and evaluate one stripped parameter expression (the general path)."""
     tokens: list = []
     pos = 0
     while pos < len(text):

@@ -20,8 +20,14 @@ built in:
   rate limits (429 + ``Retry-After``), and weighted fair-share scheduling
   mapped onto the service's ``priority=`` metadata so one hot tenant cannot
   starve the rest.
-* **Zero dependencies** — stdlib ``http.server`` / ``urllib`` only; runs
-  anywhere the package runs.
+* **Zero dependencies** — stdlib ``http.server`` / ``http.client`` only;
+  runs anywhere the package runs.
+* **Keep-alive** — the server speaks HTTP/1.1 keep-alive with
+  ``TCP_NODELAY`` and closes idle connections after
+  ``KEEPALIVE_IDLE_SECONDS``; :class:`GatewayClient` keeps one connection
+  per calling thread (``close()`` or ``with`` releases them) and resends a
+  request once only when a reused connection fails before any response
+  byte.
 
 Quickstart::
 
@@ -30,8 +36,8 @@ Quickstart::
 
     with CompileService() as service:
         with GatewayServer(service, tenants=[Tenant("alice", "alice-key")]) as gw:
-            client = GatewayClient(gw.url, api_key="alice-key")
-            result = client.compile(circuit, backend="qiskit-o3")
+            with GatewayClient(gw.url, api_key="alice-key") as client:
+                result = client.compile(circuit, backend="qiskit-o3")
 
 Or standalone: ``python -m repro.gateway --port 8080 --keys tenants.json``.
 """

@@ -2,26 +2,35 @@
 
 Used by the tests, benchmarks and examples, and a reasonable starting point
 for real non-Python clients (every call is one plain HTTP request; the wire
-format is documented by example in the README).  Only ``urllib.request`` is
-used — no third-party HTTP stack::
+format is documented by example in the README).  Only ``http.client`` is
+used — no third-party HTTP stack.
 
-    client = GatewayClient("http://127.0.0.1:8080", api_key="alice-key")
-    result = client.compile(circuit, backend="qiskit-o3", device="ibmq_washington")
-    print(result.reward, result.wall_time)
+Each calling thread keeps one persistent (keep-alive) connection, so a warm
+request costs one round trip instead of a TCP handshake plus one.
+:meth:`GatewayClient.close` (or leaving a ``with`` block) closes them.  A
+request is resent once, on a fresh connection, only when a *reused*
+connection fails before any response byte arrives — the server closed it
+while it sat idle::
 
-    job_id = client.submit(circuit, backend="tket-o2")       # async
-    for event in client.events(job_id):                       # SSE progress
-        print(event["event"])
-    result = client.result(job_id)
+    with GatewayClient("http://127.0.0.1:8080", api_key="alice-key") as client:
+        result = client.compile(circuit, backend="qiskit-o3", device="ibmq_washington")
+        print(result.reward, result.wall_time)
+
+        job_id = client.submit(circuit, backend="tket-o2")       # async
+        for event in client.events(job_id):                       # SSE progress
+            print(event["event"])
+        result = client.result(job_id)
 """
 
 from __future__ import annotations
 
+import http.client
 import json
+import threading
 import time
-import urllib.error
-import urllib.request
+import weakref
 from typing import TYPE_CHECKING
+from urllib.parse import urlsplit
 
 from ..api.result import CompilationResult
 from ..circuit.qasm import to_qasm
@@ -30,6 +39,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..circuit.circuit import QuantumCircuit
 
 __all__ = ["GatewayClient", "GatewayError"]
+
+#: how a reused connection fails when the server closed it while idle: no
+#: response byte arrived, so the request is safe to send again
+_STALE_CONNECTION = (http.client.RemoteDisconnected, ConnectionResetError, BrokenPipeError)
 
 
 class GatewayError(Exception):
@@ -42,16 +55,112 @@ class GatewayError(Exception):
         self.retry_after = retry_after
         super().__init__(f"HTTP {status} [{error_type}]: {message}")
 
+    @classmethod
+    def from_response(cls, status: int, headers, body: bytes) -> "GatewayError":
+        """The error for one non-2xx response's status, headers and body."""
+        retry_after = headers.get("Retry-After")
+        try:
+            detail = json.loads(body).get("error", {})
+        except Exception:  # noqa: BLE001 - non-JSON error bodies still surface
+            detail = {}
+        return cls(
+            status,
+            detail.get("type", "http_error"),
+            detail.get("message", body[:200].decode(errors="replace") or f"HTTP {status}"),
+            retry_after=float(retry_after) if retry_after else None,
+        )
+
 
 class GatewayClient:
-    """Talk to a :class:`~repro.gateway.GatewayServer` over HTTP."""
+    """Talk to a :class:`~repro.gateway.GatewayServer` over HTTP.
+
+    Safe to share between threads: each thread gets its own kept-alive
+    connection.  Call :meth:`close` (or use ``with``) when done.
+    """
 
     def __init__(self, base_url: str, *, api_key: "str | None" = None, timeout: float = 30.0):
         self.base_url = base_url.rstrip("/")
         self.api_key = api_key
         self.timeout = timeout
+        parts = urlsplit(self.base_url)
+        self._connection_class = (
+            http.client.HTTPSConnection if parts.scheme == "https" else http.client.HTTPConnection
+        )
+        self._netloc = parts.netloc
+        self._prefix = parts.path
+        self._local = threading.local()
+        # Weak: a finished thread's connection goes with its thread-local slot.
+        self._connections: "weakref.WeakSet[http.client.HTTPConnection]" = weakref.WeakSet()
+        self._lock = threading.Lock()
+
+    def close(self) -> None:
+        """Close every thread's kept-alive connection (a later call reconnects)."""
+        with self._lock:
+            connections = list(self._connections)
+        for connection in connections:
+            connection.close()
+
+    def __enter__(self) -> "GatewayClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # -- low-level ---------------------------------------------------------------------
+
+    def _connect(self, timeout: "float | None" = None) -> http.client.HTTPConnection:
+        return self._connection_class(self._netloc, timeout=timeout or self.timeout)
+
+    def _headers(self, trace_id: "str | None" = None) -> dict:
+        headers = {"Content-Type": "application/json"}
+        if self.api_key:
+            headers["X-API-Key"] = self.api_key
+        if trace_id:
+            headers["X-Repro-Trace-Id"] = trace_id
+        return headers
+
+    def _exchange(
+        self,
+        method: str,
+        path: str,
+        body: "dict | None" = None,
+        *,
+        timeout: "float | None" = None,
+        trace_id: "str | None" = None,
+    ) -> tuple:
+        """One request on this thread's kept-alive connection: ``(status, headers, body)``."""
+        connection = getattr(self._local, "connection", None)
+        if connection is None:
+            connection = self._local.connection = self._connect()
+            with self._lock:
+                self._connections.add(connection)
+        connection.timeout = timeout or self.timeout
+        request = (
+            method,
+            self._prefix + path,
+            json.dumps(body).encode() if body is not None else None,
+            self._headers(trace_id),
+        )
+        reused = connection.sock is not None
+        try:
+            try:
+                response = self._send(connection, *request)
+            except _STALE_CONNECTION:
+                if not reused:
+                    raise
+                connection.close()
+                response = self._send(connection, *request)  # once, on a fresh connection
+            return response.status, response.headers, response.read()
+        except BaseException:
+            connection.close()
+            raise
+
+    @staticmethod
+    def _send(connection, method: str, url: str, data, headers: dict):
+        if connection.sock is not None:
+            connection.sock.settimeout(connection.timeout)
+        connection.request(method, url, body=data, headers=headers)
+        return connection.getresponse()
 
     def _request(
         self,
@@ -63,35 +172,12 @@ class GatewayClient:
         raw: bool = False,
         trace_id: "str | None" = None,
     ):
-        data = json.dumps(body).encode() if body is not None else None
-        request = urllib.request.Request(
-            self.base_url + path, data=data, method=method
+        status, headers, payload = self._exchange(
+            method, path, body, timeout=timeout, trace_id=trace_id
         )
-        request.add_header("Content-Type", "application/json")
-        if self.api_key:
-            request.add_header("X-API-Key", self.api_key)
-        if trace_id:
-            request.add_header("X-Repro-Trace-Id", trace_id)
-        try:
-            with urllib.request.urlopen(request, timeout=timeout or self.timeout) as response:
-                payload = response.read()
-                return payload.decode() if raw else json.loads(payload)
-        except urllib.error.HTTPError as exc:
-            raise self._to_error(exc) from None
-
-    @staticmethod
-    def _to_error(exc: urllib.error.HTTPError) -> GatewayError:
-        retry_after = exc.headers.get("Retry-After") if exc.headers else None
-        try:
-            detail = json.loads(exc.read()).get("error", {})
-        except Exception:  # noqa: BLE001 - non-JSON error bodies still surface
-            detail = {}
-        return GatewayError(
-            exc.code,
-            detail.get("type", "http_error"),
-            detail.get("message", str(exc)),
-            retry_after=float(retry_after) if retry_after else None,
-        )
+        if status >= 400:
+            raise GatewayError.from_response(status, headers, payload)
+        return payload.decode() if raw else json.loads(payload)
 
     @staticmethod
     def _payload(
@@ -234,14 +320,17 @@ class GatewayClient:
         plus the event's data fields.  The generator ends when the job
         completes or the server closes the stream.
         """
-        request = urllib.request.Request(self.base_url + f"/v1/jobs/{job_id}/events")
-        if self.api_key:
-            request.add_header("X-API-Key", self.api_key)
+        # Its own connection, never pooled: the stream ends by closing it.
+        connection = self._connect(timeout)
         try:
-            response = urllib.request.urlopen(request, timeout=timeout or self.timeout)
-        except urllib.error.HTTPError as exc:
-            raise self._to_error(exc) from None
-        with response:
+            connection.request(
+                "GET", self._prefix + f"/v1/jobs/{job_id}/events", headers=self._headers()
+            )
+            response = connection.getresponse()
+            if response.status >= 400:
+                raise GatewayError.from_response(
+                    response.status, response.headers, response.read()
+                )
             event_type = None
             for raw in response:
                 line = raw.decode().rstrip("\n")
@@ -256,6 +345,8 @@ class GatewayClient:
                         return
                 elif not line:
                     event_type = None
+        finally:
+            connection.close()
 
     # -- ops ---------------------------------------------------------------------------
 
@@ -283,18 +374,10 @@ class GatewayClient:
 
     def healthz(self) -> dict:
         """Health payload; never raises on 503 (draining is a valid answer)."""
-        try:
-            return self._request("GET", "/healthz")
-        except GatewayError as exc:
-            if exc.status == 503:
-                # Re-fetch the body: _to_error consumed it into the message.
-                request = urllib.request.Request(self.base_url + "/healthz")
-                try:
-                    with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                        return json.loads(response.read())
-                except urllib.error.HTTPError as http_exc:
-                    return json.loads(http_exc.read())
-            raise
+        status, headers, payload = self._exchange("GET", "/healthz")
+        if status >= 400 and status != 503:
+            raise GatewayError.from_response(status, headers, payload)
+        return json.loads(payload)
 
     def drain(self, grace: "float | None" = None) -> dict:
         """``POST /admin/drain`` (requires an admin tenant's key)."""

@@ -28,6 +28,8 @@ starving everyone else.
 from __future__ import annotations
 
 import json
+import socket
+import sys
 import threading
 import time
 from concurrent.futures import TimeoutError as FutureTimeoutError
@@ -53,6 +55,9 @@ MAX_BODY_BYTES = 2 * 1024 * 1024
 
 #: hard ceiling on one SSE stream's lifetime
 MAX_STREAM_SECONDS = 600.0
+
+#: an idle keep-alive connection is closed after this many seconds
+KEEPALIVE_IDLE_SECONDS = 30.0
 
 
 class _HTTPError(Exception):
@@ -199,10 +204,15 @@ class GatewayServer:
         return self.health()
 
     def close(self) -> None:
-        """Stop the HTTP listener and sampler (the service is left running)."""
+        """Stop the HTTP listener, its open connections and the sampler.
+
+        Kept-alive connections are shut down too, so a closed gateway stops
+        answering on them.  The service is left running.
+        """
         self.sampler.stop()
         self.service.remove_observer(self._on_service_event)
         self._httpd.shutdown()
+        self._httpd.close_connections()
         self._httpd.server_close()
         self._serve_thread.join(timeout=5)
 
@@ -453,11 +463,44 @@ class _GatewayHTTPServer(ThreadingHTTPServer):
 
     def __init__(self, address, handler, *, gateway: GatewayServer):
         self.gateway = gateway
+        self._connections: set = set()
+        self._connections_lock = threading.Lock()
         super().__init__(address, handler)
+
+    def process_request(self, request, client_address) -> None:
+        with self._connections_lock:
+            self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        with self._connections_lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)
+
+    def handle_error(self, request, client_address) -> None:
+        # A client dropping its kept-alive connection is not a server fault.
+        if not isinstance(sys.exc_info()[1], ConnectionError):
+            super().handle_error(request, client_address)
+
+    def close_connections(self) -> None:
+        """Shut down every open connection; its handler thread then exits."""
+        with self._connections_lock:
+            connections = list(self._connections)
+        for connection in connections:
+            try:
+                connection.shutdown(socket.SHUT_RDWR)
+            except OSError:  # already closed by its handler
+                pass
 
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    # Headers and body go out in two writes; with Nagle's algorithm on, the
+    # body waits for the client's delayed ACK (~40 ms) on a kept-alive
+    # connection.
+    disable_nagle_algorithm = True
+    #: socket timeout: an idle kept-alive connection closes after it
+    timeout = KEEPALIVE_IDLE_SECONDS
     server: _GatewayHTTPServer
 
     # -- plumbing ----------------------------------------------------------------------
@@ -483,6 +526,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self._send_trace_header()
         for name, value in (headers or {}).items():
             self.send_header(name, value)
@@ -502,15 +547,40 @@ class _Handler(BaseHTTPRequestHandler):
             headers=exc.headers,
         )
 
+    def _read_body(self) -> bytes:
+        """Read the whole request body, before any response is sent.
+
+        A body left unread on a kept-alive connection would be parsed as the
+        next request, so a body that cannot be read whole (a bad or
+        oversized ``Content-Length``, or chunked encoding) is refused and
+        closes the connection instead.
+        """
+        value = (self.headers.get("Content-Length") or "").strip()
+        chunked = "Transfer-Encoding" in self.headers
+        if not value and not chunked:
+            return b""
+        if chunked:
+            error = _HTTPError(400, "bad_request", "chunked request bodies are not supported")
+        elif not (value.isascii() and value.isdigit()):
+            error = _HTTPError(400, "bad_request", f"invalid Content-Length {value!r}")
+        elif len(value) > 15 or int(value) > MAX_BODY_BYTES:  # len first: int() of 5k digits raises
+            error = _HTTPError(413, "too_large", f"request body exceeds {MAX_BODY_BYTES} bytes")
+        else:
+            try:
+                body = self.rfile.read(int(value))
+            except TimeoutError:  # the client stalled mid-body
+                body = b""
+            if len(body) == int(value):
+                return body
+            error = _HTTPError(400, "bad_request", "incomplete request body")
+        self.close_connection = True
+        raise error
+
     def _read_json(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length > MAX_BODY_BYTES:
-            raise _HTTPError(413, "too_large", f"request body exceeds {MAX_BODY_BYTES} bytes")
-        raw = self.rfile.read(length) if length else b""
-        if not raw:
+        if not self.body:
             return {}
         try:
-            return json.loads(raw)
+            return json.loads(self.body)
         except json.JSONDecodeError as exc:
             raise _HTTPError(400, "bad_json", f"request body is not valid JSON: {exc}") from None
 
@@ -525,6 +595,7 @@ class _Handler(BaseHTTPRequestHandler):
         path = parts.path.rstrip("/") or "/"
         query = {k: v[-1] for k, v in parse_qs(parts.query).items()}
         try:
+            self.body = self._read_body()
             self._route(method, path, query)
         except _HTTPError as exc:
             self._send_error_payload(exc)

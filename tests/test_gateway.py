@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import http.client
 import json
+import socket
 import time
 import urllib.request
 from concurrent.futures import Future
@@ -518,6 +520,106 @@ class TestObservabilityHTTP:
         events = list(client.events(job_id, timeout=60))
         assert events[-1]["event"] == "done"
         assert all(event["trace_id"] == "trace-sse-77" for event in events)
+
+
+def _raw_response(gateway, request: bytes) -> tuple:
+    """Send raw bytes; read until the server closes: ``(status, headers, body)``."""
+    with socket.create_connection(gateway.address, timeout=10) as sock:
+        sock.sendall(request)
+        data = b""
+        while chunk := sock.recv(65536):  # a timeout here: the server kept it open
+            data += chunk
+    head, _, body = data.partition(b"\r\n\r\n")
+    status_line, *header_lines = head.decode().split("\r\n")
+    headers = dict(line.split(": ", 1) for line in header_lines)
+    return int(status_line.split()[1]), headers, json.loads(body)
+
+
+class TestKeepAlive:
+    def test_sequential_requests_reuse_one_fast_connection(self, gateway):
+        client = GatewayClient(gateway.url)
+        sockets, seconds = set(), []
+        for _ in range(20):
+            begin = time.perf_counter()
+            assert client.healthz()["ready"]
+            seconds.append(time.perf_counter() - begin)
+            sockets.add(client._local.connection.sock)
+        assert len(sockets) == 1 and None not in sockets
+        # Nagle's algorithm against the client's delayed ACK stalls a
+        # kept-alive response for ~40 ms.
+        assert sorted(seconds)[len(seconds) // 2] < 0.015
+        client.close()
+        assert client._local.connection.sock is None
+
+    def test_connection_closed_while_idle_is_resent_once(self, gateway, monkeypatch):
+        monkeypatch.setattr("repro.gateway.server._Handler.timeout", 0.2)
+        client = GatewayClient(gateway.url)
+        assert client.healthz()["ready"]
+        first = client._local.connection.sock
+        time.sleep(0.6)  # the server has closed the idle connection by now
+        assert client.healthz()["ready"]
+        assert client._local.connection.sock not in (None, first)
+
+    @pytest.mark.parametrize("status", [401, 413, 429])
+    def test_connection_survives_an_early_error(self, service, ghz3, monkeypatch, status):
+        """An error sent before the body was read must not leave it on the wire."""
+        tenants = [Tenant("tiny", "tiny-key", rate=0.01, burst=1)]
+        body = json.dumps({"qasm": to_qasm(ghz3), "backend": "qiskit-o0"}).encode()
+        headers = {"X-API-Key": "tiny-key"}
+        with GatewayServer(service, tenants=tenants, sample_interval=0) as gw:
+            connection = http.client.HTTPConnection(*gw.address, timeout=10)
+            if status == 401:
+                connection.request("POST", "/v1/compile", body, {"X-API-Key": "wrong"})
+            elif status == 429:
+                connection.request("POST", "/v1/compile?mode=async", body, headers)
+                assert connection.getresponse().read()
+                connection.request("POST", "/v1/compile?mode=async", body, headers)
+            else:
+                # Declared too large: refused unread, so the connection closes.
+                # (Only the headers go out, so no unread byte resets the close.)
+                monkeypatch.setattr("repro.gateway.server.MAX_BODY_BYTES", 16)
+                connection.request(
+                    "POST", "/v1/compile", headers={**headers, "Content-Length": "17"}
+                )
+            sock = connection.sock
+            response = connection.getresponse()
+            assert response.status == status
+            response.read()
+            connection.request("GET", "/v1/stats", headers=headers)
+            response = connection.getresponse()
+            assert response.status == 200
+            assert json.loads(response.read())["gateway"]["name"] == gw.name
+            # Only the refused-unread body costs the connection.
+            assert (connection.sock is sock) == (status != 413)
+            connection.close()
+
+    @pytest.mark.parametrize("length", ["-1", "abc"])
+    def test_bad_content_length_is_a_400_that_closes(self, gateway, length):
+        status, headers, body = _raw_response(
+            gateway,
+            b"POST /v1/compile HTTP/1.1\r\nHost: gw\r\nX-API-Key: alice-key\r\n"
+            + f"Content-Length: {length}\r\n\r\n".encode(),
+        )
+        assert status == 400
+        assert headers["Connection"] == "close"
+        assert body["error"]["type"] == "bad_request"
+        assert "Content-Length" in body["error"]["message"]
+
+    def test_close_shuts_kept_alive_connections(self, service):
+        gw = GatewayServer(service, sample_interval=0)
+        client = GatewayClient(gw.url)
+        connection = http.client.HTTPConnection(*gw.address, timeout=10)
+        try:
+            assert client.healthz()["ready"]
+            connection.request("GET", "/healthz")
+            assert connection.getresponse().read()
+        finally:
+            gw.close()
+        with pytest.raises(OSError):
+            connection.request("GET", "/healthz")
+            connection.getresponse()
+        with pytest.raises(OSError):
+            client.healthz()
 
 
 class _RaisingService:

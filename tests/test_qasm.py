@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.circuit import QasmError, QuantumCircuit, from_qasm, random_circuit, to_qasm
-from repro.circuit.qasm import _eval_param, _format_param
+from repro.circuit.qasm import _eval_param, _format_param, _parse_param
 from repro.linalg import allclose_up_to_global_phase, circuit_unitary
 
 
@@ -149,6 +149,42 @@ class TestMalformedInput:
             from_qasm('OPENQASM 2.0;\nqreg q[3];\ncreg c[3];\nbarrier r;\n')
 
 
+def _format_reference(value: float) -> str:
+    """The angle formatter before the one-``round`` lookup: a scan of every multiple."""
+    for denom in (1, 2, 3, 4, 6, 8, 16):
+        for num in range(-16 * denom, 16 * denom + 1):
+            if num == 0:
+                continue
+            if abs(value - num * math.pi / denom) < 1e-12:
+                return f"pi*{num}/{denom}" if denom != 1 else f"pi*{num}"
+    if abs(value) < 1e-15:
+        return "0"
+    return repr(float(value))
+
+
+class TestFormatParam:
+    def test_matches_the_scan_on_a_corpus(self):
+        corpus = []
+        for denom in (1, 2, 3, 4, 6, 8, 16):
+            for num in range(-17 * denom, 17 * denom + 1):
+                exact = num * math.pi / denom
+                corpus += [
+                    exact, exact + 1e-13, exact - 1e-13, exact + 9.9e-13, exact - 1.1e-12,
+                    math.nextafter(exact, math.inf), math.nextafter(exact, -math.inf),
+                    num * (math.pi / denom), num / denom * math.pi,
+                ]
+        rng = np.random.default_rng(11)
+        corpus += list(rng.uniform(-60, 60, 2000))
+        corpus += list(rng.uniform(-1, 1, 200) * 10.0 ** rng.integers(-300, 300, 200))
+        corpus += [
+            0.0, -0.0, 1e-16, -1e-16, 1e-15, 9e-16, math.inf, -math.inf, math.nan,
+            1e300, -1e300, 1.7e308, 5e-324, 16 * math.pi + 1e-12, 51.0, -51.0,
+        ]
+        corpus += [np.float64(value) for value in corpus[:500]]
+        for value in corpus:
+            assert _format_param(value) == _format_reference(value), repr(value)
+
+
 def _eval_reference(expr: str) -> float:
     """The parameter evaluator before the recursive-descent parser: ``eval``."""
     text = expr.strip().replace("pi", repr(math.pi))
@@ -182,6 +218,29 @@ class TestParameterEvaluator:
         ]
         for expr in corpus:
             assert _eval_param(expr).hex() == _eval_reference(expr).hex(), expr
+
+        # The shortcut for to_qasm's two forms gives the parser's value or error.
+        def outcome(fn, expr):
+            try:
+                return fn(expr).hex()
+            except QasmError as exc:
+                return f"QasmError: {exc}"
+
+        corpus += [
+            f"pi*{sign}{num}/{denom}"
+            for sign in ("", "-")
+            for num in (0, 1, 3, 7, 255, 10**400)
+            for denom in (1, 2, 16, 0, "00", 10**400)
+        ]
+        corpus += [f"pi*{num}" for num in (0, -0, 5, -5, -256, 10**400)]
+        corpus += [
+            "inf", "-inf", "nan", "1_0", "--1", "-1_0", "+1", "-0", "-0.0", "1e400",
+            "-1e-400", "-.5", "-5.", "1e", "pi*", "pi*1/", "pi*+3", "pi*3.0/4", "pi *3",
+            "pi*1/2/2", "-pi*1/2",
+        ]
+        corpus += [repr(float(value)) for value in np.random.default_rng(3).normal(0, 1e3, 50)]
+        for expr in corpus:
+            assert outcome(_eval_param, expr) == outcome(_parse_param, expr.strip()), expr
 
 
 class TestRoundTrip:
