@@ -154,7 +154,7 @@ def test_priority_latency_series():
     latencies: dict[str, list[float]] = {name: [] for name in classes}
     lock = threading.Lock()
 
-    with CompileService(max_workers=1, autoscale=False) as service:
+    with CompileService(max_workers=1, min_workers=1) as service:
 
         def record(name: str, submitted: float):
             def callback(_future) -> None:

@@ -15,10 +15,11 @@ numbers to ``benchmarks/results/BENCH_vecenv.json`` (with
   state any member has visited is not recomputed — exactly the redundancy
   real rollouts have (same training circuits every epoch, converging
   policies replaying the same flows).
-* **Batch executors** — ``compile_batch`` wall time, ``executor="thread"``
-  vs ``executor="process"`` (cold caches).  On a single-core container the
-  process pool's pickling round trip makes it slower; the number is
-  recorded either way so multi-core CI shows the real ratio.
+* **Batch lanes** — ``compile_batch`` wall time on its default thread lanes
+  vs a ``CompileService(process_backends=...)`` (cold caches).  On a
+  single-core container the process pool's pickling round trip makes it
+  slower; the number is recorded either way so multi-core CI shows the real
+  ratio.
 
 ``REPRO_BENCH_SMOKE=1`` shrinks everything to one repetition (CI keeps the
 artifact fresh without burning minutes).
@@ -33,6 +34,7 @@ from repro.api.batch import compile_batch
 from repro.bench import benchmark_circuit
 from repro.core import CompilationEnv
 from repro.rl import make_compilation_vec_env
+from repro.service import CompileService
 
 import numpy as np
 
@@ -167,19 +169,22 @@ def test_batch_executor_thread_vs_process():
     rewards = {}
     for executor in ("thread", "process"):
         start = time.perf_counter()
-        batch = compile_batch(
-            circuits,
-            backends,
-            device="ibmq_washington",
-            cache=None,
-            executor=executor,
-            max_workers=2,
-        )
+        if executor == "thread":
+            batch = compile_batch(
+                circuits, backends, device="ibmq_washington", cache=None, max_workers=2
+            )
+        else:
+            with CompileService(
+                process_backends=tuple(backends), max_workers=2, min_workers=2
+            ) as service:
+                batch = compile_batch(
+                    circuits, backends, device="ibmq_washington", service=service
+                )
         timings[executor] = round(time.perf_counter() - start, 4)
         assert not batch.failures
         rewards[executor] = [round(r.reward, 9) for r in batch]
 
-    # Both executors must compile to identical results.
+    # Thread and process lanes must compile to identical results.
     assert rewards["thread"] == rewards["process"]
 
     payload = {

@@ -8,8 +8,9 @@ This package is the public surface of the framework's compiler redesign:
 * :mod:`repro.api.backends` — built-in backends: every Qiskit-style level
   (``qiskit-o0`` ... ``qiskit-o3``), every TKET-style level (``tket-o0`` ...
   ``tket-o2``), the RL ``PredictorBackend``, and the ``best-of`` meta-backend.
-* :func:`repro.api.compile_batch` — worker-pool batch compilation with
-  per-(circuit, backend, device) caching and structured error capture.
+* :func:`repro.api.compile_batch` — batch compilation on a
+  :class:`~repro.service.CompileService`, with per-(circuit, backend, device)
+  caching and structured error capture.
 
 Everything here is re-exported at the top level (``repro.compile`` etc.).
 """

@@ -181,36 +181,6 @@ class PredictorBackend:
             result = result.with_objective(objective)
         return result
 
-    def compile_batch(
-        self,
-        circuits: "list[QuantumCircuit]",
-        *,
-        objective: str | None = None,
-    ) -> "list[CompilationResult]":
-        """Compile many circuits, amortising feature extraction across the batch.
-
-        One shared :class:`~repro.pipeline.AnalysisCache` is pre-warmed with a
-        single :func:`~repro.features.feature_vectors_batch` sweep over the
-        inputs and then serves every inference episode: the initial observation
-        of each episode is a warm hit, and circuit states reached by more than
-        one episode (policies funnel different inputs through the same
-        intermediate forms) are analysed once for the whole batch.
-        """
-        if objective:
-            reward_function(objective)  # fail fast on unknown objectives
-        from ..pipeline import AnalysisCache
-
-        cache = AnalysisCache()
-        cache.warm_features(circuits)
-        results = []
-        for circuit in circuits:
-            result = self.predictor.compile(circuit, analysis_cache=cache)
-            result.backend = self.name
-            if objective and objective != result.reward_name:
-                result = result.with_objective(objective)
-            results.append(result)
-        return results
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"PredictorBackend({self.name!r}, reward={self.predictor.reward_name!r})"
 

@@ -1,43 +1,30 @@
-"""Batch compilation service: worker-pool fan-out, caching, and error capture.
+"""Batch compilation: every (circuit, backend) pair of a sweep, with caching.
 
-``compile_batch`` compiles every (circuit, backend) combination of a sweep
-with two production-minded behaviours the single-shot facade does not need:
+``compile_batch`` is a thin client of :class:`~repro.service.CompileService`:
+it resolves and deduplicates the backend specs, submits one request per
+(circuit, backend) pair, and collects the futures into a
+:class:`BatchResult`.  The service supplies everything else:
 
 * **Per-(circuit, backend, device, seed) result caching** — preset pipelines
   are deterministic, so re-running a sweep (e.g. the same benchmark suite
   scored under a different objective) reuses the compiled circuits.  Cached
   results carry ``metadata["cached"] = True`` and are re-pointed at the
-  requested objective without recompiling.  This is the big wall-clock win
-  when the same circuits are swept repeatedly.
+  requested objective without recompiling.  Duplicate pairs inside one
+  sweep coalesce onto one compilation and are marked the same way.
 * **Structured error capture** — one failing circuit does not kill the sweep;
   the failure is returned as a ``CompilationResult`` with ``succeeded=False``
-  and the exception text in ``error``.
-
-Tasks are fanned out over a worker pool selected by ``executor``:
-
-* ``"thread"`` (default) — a ``ThreadPoolExecutor``.  Because the pass
-  pipelines are mostly pure Python, the GIL limits the speedup to the
-  fraction of time spent in NumPy kernels — modest overlap, not a
-  core-count multiplier.
-* ``"process"`` — a ``ProcessPoolExecutor``: circuits and backends are
-  pickled to worker processes, compiled GIL-free, and the results are
-  merged back into the shared :class:`CompilationCache` by the parent.
-  This is the core-count multiplier on multi-core machines; on a single
-  core the pickling round trip makes it strictly slower than threads.
-  Cache lookups always happen in the parent — worker processes never see
-  the cache.
-* ``"service"`` — the misses are submitted to a
-  :class:`~repro.service.CompileService` (the ``service`` argument, or a
-  temporary one), riding on its per-backend worker pools and its shared —
-  possibly server-backed — cache.  This is how sweeps join a long-lived
-  compile server instead of spinning up their own pool.
+  and the exception text in ``error``.  Failures are never cached, and a
+  duplicate whose owner failed gets its own attempt.
+* **Fan-out** — per-backend worker lanes.  By default a short-lived service
+  with thread lanes is started for the sweep and drained afterwards.  Pass
+  ``service=CompileService(process_backends=(...))`` to compile those
+  backends GIL-free in worker processes, or a long-lived service to join its
+  lanes and its shared (possibly server-backed) cache.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -88,9 +75,9 @@ def result_cache_key(
 ) -> tuple:
     """The :class:`CompilationCache` key for one (circuit, backend) task.
 
-    The single definition of the key scheme, shared by ``compile_batch`` and
-    the compile service: a server-backed cache only lets the two layers reuse
-    each other's results while their key tuples stay byte-identical.
+    The single definition of the key scheme: every service sharing one
+    server-backed cache reuses the others' results only while their key
+    tuples stay byte-identical.
     """
     token = getattr(backend, "cache_token", backend.name)
     return (
@@ -144,37 +131,6 @@ class BatchResult:
         for result in self.results:
             lines.append("  " + result.summary())
         return "\n".join(lines)
-
-
-def _failure_result(
-    circuit: QuantumCircuit,
-    backend_name: str,
-    objective: str,
-    exc: Exception,
-) -> CompilationResult:
-    return CompilationResult(
-        circuit=circuit,
-        device=None,
-        reward=0.0,
-        reward_name=objective,
-        reached_done=False,
-        backend=backend_name,
-        succeeded=False,
-        error=f"{type(exc).__name__}: {exc}",
-    )
-
-
-def _compile_task(payload: tuple) -> CompilationResult:
-    """Compile one (circuit, backend) pair; exceptions become failure results.
-
-    Module-level so the process executor can pickle it; the payload carries
-    everything a worker needs (no access to the parent's caches).
-    """
-    circuit, backend, device, objective, seed = payload
-    try:
-        return backend.compile(circuit, device=device, objective=objective, seed=seed)
-    except Exception as exc:  # noqa: BLE001 - one failure must not kill the sweep
-        return _failure_result(circuit, backend.name, objective, exc)
 
 
 def _same_backend(a: CompilerBackend, b: CompilerBackend) -> bool:
@@ -234,7 +190,6 @@ def compile_batch(
     objective: str = "fidelity",
     seed: int = 0,
     max_workers: int | None = None,
-    executor: str = "thread",
     cache: CompilationCache | None = _DEFAULT_CACHE,
     service=None,
     priority: int = 0,
@@ -254,40 +209,29 @@ def compile_batch(
     device, objective, seed:
         Forwarded to each backend as in :func:`repro.compile`.
     max_workers:
-        Worker-pool size (default: CPU count, capped at the task count).
-    executor:
-        ``"thread"`` (default), ``"process"`` or ``"service"``.  The process
-        pool pickles circuits and backends to worker processes and compiles
-        GIL-free; cache lookups stay in the parent and worker results are
-        merged back into the shared cache.  ``"service"`` routes the misses
-        through a :class:`~repro.service.CompileService`.
+        Total workers of the short-lived service (default: CPU count, capped
+        at the circuit count), split evenly across the backend lanes with at
+        least one per lane — so a sweep of several backends never runs
+        serially.  Ignored when ``service`` is given.
     cache:
         A :class:`CompilationCache` (default: the process-wide cache) or
-        ``None`` to disable caching.  Failed compilations are never cached.
+        ``None`` to disable caching across sweeps.  Failed compilations are
+        never cached.  Ignored when ``service`` is given.
     service:
-        The :class:`~repro.service.CompileService` (or
-        :class:`~repro.service.ServiceClient`) used by
-        ``executor="service"``; when omitted, a temporary service is started
-        for the sweep and drained afterwards.  Only valid with
-        ``executor="service"``.
+        A :class:`~repro.service.CompileService` (or
+        :class:`~repro.service.ServiceClient`) to run the sweep on; its cache
+        and lanes are then the only ones used.  When omitted, a short-lived
+        service backed by ``cache`` is started for the sweep and drained
+        afterwards.
     priority, deadline:
-        QoS fields forwarded to every service submission (higher priority
-        runs first; a request that waits past ``deadline`` seconds resolves
-        to a ``DeadlineExceeded`` failure result).  Only valid with
-        ``executor="service"``.
+        QoS fields forwarded to every submission (higher priority runs
+        first; a request that waits past ``deadline`` seconds resolves to a
+        ``DeadlineExceeded`` failure result).
 
     Returns a :class:`BatchResult` in circuit-major order: for circuits
     ``[c0, c1]`` and backends ``[a, b]`` the results are
     ``[c0/a, c0/b, c1/a, c1/b]``.
     """
-    if executor not in ("thread", "process", "service"):
-        raise ValueError(
-            f"unknown executor {executor!r} (use 'thread', 'process' or 'service')"
-        )
-    if service is not None and executor != "service":
-        raise ValueError("the `service` argument requires executor='service'")
-    if (priority != 0 or deadline is not None) and executor != "service":
-        raise ValueError("priority/deadline require executor='service'")
     circuit_list = list(circuits)
     specs = list(backends)
     if not specs:
@@ -295,108 +239,41 @@ def compile_batch(
     resolved, aliases = _resolve_unique_backends(specs)
     reward_function(objective)  # fail fast regardless of cache warmth
     target = get_device(device) if isinstance(device, str) else device
-    device_key = target.name if target is not None else "<auto>"
-
-    tasks: list[tuple[int, QuantumCircuit, CompilerBackend]] = [
+    tasks = [
         (ci, circuit, backend)
         for ci, circuit in enumerate(circuit_list)
         for backend in resolved
     ]
 
-    def cache_key(circuit: QuantumCircuit, backend: CompilerBackend) -> tuple:
-        return result_cache_key(circuit, backend, device_key, seed)
+    owned = None
+    if service is None:
+        from ..service import CompileService
 
-    # Serve cache hits up front (always in the parent process), then fan the
-    # misses out over the chosen worker pool.  Duplicate (circuit, backend)
-    # pairs inside one sweep compile once; the copies are served like cache
-    # hits after the owner's result lands.  The service executor skips the
-    # parent-side dedup entirely: the service's own in-flight coalescing does
-    # the same job while keeping the QoS semantics (a duplicate whose owner
-    # expired gets its own deadline verdict, not a synchronous parent-thread
-    # recompile with no deadline at all).
-    results: list[CompilationResult | None] = [None] * len(tasks)
-    pending: list[int] = []
-    key_owner: dict[tuple, int] = {}
-    duplicates: list[tuple[int, int]] = []
-    for position, (_ci, circuit, backend) in enumerate(tasks):
-        key = cache_key(circuit, backend)
-        if cache is not None:
-            hit = cache.get(key)
-            if hit is not None:
-                result = hit.with_objective(objective)
-                result.metadata = {**result.metadata, "cached": True}
-                results[position] = result
-                continue
-        if executor != "service":
-            owner = key_owner.get(key)
-            if owner is not None:
-                duplicates.append((position, owner))
-                continue
-            key_owner[key] = position
-        pending.append(position)
-
-    payloads = [
-        (tasks[position][1], tasks[position][2], target, objective, seed)
-        for position in pending
-    ]
-    if max_workers is None:
-        max_workers = min(len(pending) or 1, os.cpu_count() or 1)
-    if executor == "service" and pending:
-        owned = None
-        if service is None:
-            from ..service import CompileService
-
-            owned = service = CompileService(max_workers=max_workers)
-        try:
-            futures = [
-                service.submit(
-                    tasks[position][1],
-                    tasks[position][2],
-                    device=target,
-                    objective=objective,
-                    seed=seed,
-                    priority=priority,
-                    deadline=deadline,
-                )
-                for position in pending
-            ]
-            computed = [future.result() for future in futures]
-        finally:
-            if owned is not None:
-                owned.shutdown(drain=True)
-    elif executor == "process" and pending:
-        for backend in resolved:
-            try:
-                pickle.dumps(backend)
-            except Exception as exc:
-                raise ValueError(
-                    f"backend {backend.name!r} cannot be pickled for "
-                    f"executor='process' ({exc}); use executor='thread'"
-                ) from exc
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            computed = list(pool.map(_compile_task, payloads))
-    elif max_workers <= 1 or len(pending) <= 1:
-        computed = [_compile_task(payload) for payload in payloads]
-    else:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            computed = list(pool.map(_compile_task, payloads))
-
-    for position, result in zip(pending, computed):
-        results[position] = result
-        _ci, circuit, backend = tasks[position]
-        if cache is not None and result.succeeded:
-            cache.put(cache_key(circuit, backend), result, result.wall_time or None)
-    for position, owner in duplicates:
-        owned = results[owner]
-        if owned is not None and owned.succeeded:
-            result = owned.with_objective(objective)
-            result.metadata = {**result.metadata, "cached": True}
-            results[position] = result
-        else:
-            # The owner failed (failures are never cached): attempt the
-            # duplicate independently, matching the pre-dedup behaviour.
-            _ci, circuit, backend = tasks[position]
-            results[position] = _compile_task((circuit, backend, target, objective, seed))
+        workers = max_workers or max(1, min(len(circuit_list), os.cpu_count() or 1))
+        # Split the workers across the backend lanes, at least one each.
+        workers = max(1, -(-workers // len(resolved)))
+        owned = service = CompileService(
+            store=cache.store if cache is not None else None,
+            max_workers=workers,
+            min_workers=workers,
+        )
+    try:
+        futures = [
+            service.submit(
+                circuit,
+                backend,
+                device=target,
+                objective=objective,
+                seed=seed,
+                priority=priority,
+                deadline=deadline,
+            )
+            for _ci, circuit, backend in tasks
+        ]
+        results = [future.result() for future in futures]
+    finally:
+        if owned is not None:
+            owned.shutdown(drain=True)
 
     batch = BatchResult()
     aliases_by_name: dict[str, list[str]] = {}

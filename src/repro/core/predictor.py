@@ -113,17 +113,8 @@ class Predictor:
         *,
         deterministic: bool = True,
         max_steps: int | None = None,
-        analysis_cache=None,
     ) -> CompilationResult:
-        """Compile one circuit by greedily following the learned policy.
-
-        ``analysis_cache``, when given, is the
-        :class:`~repro.pipeline.AnalysisCache` the inference episode reads its
-        observations and executability checks from — batch callers (see
-        :meth:`PredictorBackend.compile_batch <repro.api.backends.PredictorBackend.compile_batch>`)
-        pass one pre-warmed instance so repeated circuit states across the
-        batch are analysed once.
-        """
+        """Compile one circuit by greedily following the learned policy."""
         if self._agent is None:
             raise RuntimeError("the Predictor must be trained (or loaded) before compiling")
         start = perf_counter()
@@ -133,7 +124,6 @@ class Predictor:
             device_name=self.device_name,
             max_steps=max_steps or self.max_steps,
             seed=self.seed,
-            analysis_cache=analysis_cache,
         )
         observation, _ = env.reset(seed=self.seed)
         terminated = truncated = False

@@ -113,7 +113,11 @@ def compare_predictor(
     the device each compiled circuit actually targets.  The three backends are
     swept through :func:`repro.api.compile_batch`, so baseline compilations
     are cached and reused across calls (default: the process-wide cache; pass
-    ``cache`` for an isolated one).
+    ``cache`` for an isolated one).  The sweep runs on a short-lived
+    :class:`~repro.service.CompileService` with one lane per backend;
+    ``max_workers`` (default: CPU count, capped at the circuit count) is
+    split evenly across the three lanes with at least one worker each, so
+    ``max_workers=1`` still runs one compile per backend at a time.
     """
     metric_name = metric or predictor.reward_name
     reward_function(metric_name)  # fail fast on unknown metrics

@@ -56,8 +56,10 @@ class ExperimentConfig:
     #: registered backend names the RL models are compared against
     qiskit_backend: str = "qiskit-o3"
     tket_backend: str = "tket-o2"
-    #: worker-pool size for batch compilation (None: one worker per CPU;
-    #: thread-based, so overlap is limited to NumPy-heavy passes)
+    #: worker threads of the batch-compilation service, split across its
+    #: backend lanes with at least one each (None: one per CPU, capped at
+    #: the circuit count; thread-based, so overlap is limited to NumPy-heavy
+    #: passes)
     max_workers: int | None = None
 
 

@@ -363,7 +363,7 @@ class GatewayServer:
             try:
                 result = future.result()
             except Exception as exc:  # noqa: BLE001 - futures normally hold results
-                from ..api.batch import _failure_result
+                from ..service.service import _failure_result
 
                 result = _failure_result(circuit, job.backend, "fidelity", exc)
             # Complete the trace: the service's span tree (carried home in

@@ -1,14 +1,15 @@
 """Compile-service subsystem: serve many clients against one shared cache.
 
-This package turns the one-shot compilation facilities (``repro.compile``,
-``repro.compile_batch``) into a long-lived server:
+This package turns the one-shot compilation facility (``repro.compile``)
+into a long-lived server, and is the execution engine ``repro.compile_batch``
+runs every sweep on:
 
 * :class:`CompileService` — QoS request queue (per-request ``priority`` and
   ``deadline``; expired requests resolve to structured
   :class:`DeadlineExceeded` failure results without occupying a worker),
   scheduler, autoscaled per-backend worker lanes (thread lanes for
-  in-process backends, process lanes reusing the batch executor's
-  pickled-task machinery), request coalescing, and
+  in-process backends, process lanes for the ``process_backends``), request
+  coalescing, and
   hit/miss/queue-depth/latency/autoscale metrics via
   :meth:`CompileService.stats`.
 * :class:`CacheServer` / :class:`SharedCacheStore` — a cache server process

@@ -128,12 +128,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--min-workers",
         type=int,
         default=1,
-        help="lower worker bound per backend lane (idle lanes shrink back to it)",
-    )
-    parser.add_argument(
-        "--no-autoscale",
-        action="store_true",
-        help="pin every lane at --max-workers instead of autoscaling",
+        help="lower worker bound per backend lane (idle lanes shrink back to it; "
+        "equal to --max-workers pins every lane at that size)",
     )
     parser.add_argument(
         "--autoscale-interval",
@@ -308,7 +304,6 @@ def main(argv: list[str] | None = None) -> int:
         process_backends=process_backends,
         max_workers=args.max_workers,
         min_workers=args.min_workers,
-        autoscale=not args.no_autoscale,
         autoscale_interval=args.autoscale_interval,
         cache_size=args.cache_size,
     )

@@ -1,9 +1,10 @@
 """The compile server: QoS request queue, autoscaled worker lanes, shared cache.
 
-``compile_batch`` fans one sweep out over one pool and returns when the sweep
-is done; a *service* accepts requests from many concurrent clients, keeps its
-pools warm between them, and shares one result cache across everything it
-compiles.  :class:`CompileService` is that subsystem:
+A *service* accepts requests from many concurrent clients, keeps its pools
+warm between them, and shares one result cache across everything it
+compiles.  It is the one execution engine: ``compile_batch`` runs each sweep
+on one (short-lived unless the caller passes its own).
+:class:`CompileService` is that subsystem:
 
 * **Priority request queue + scheduler** — every ``submit()`` enqueues a
   :class:`CompileRequest` carrying a ``priority`` (higher runs first) and an
@@ -20,8 +21,9 @@ compiles.  :class:`CompileService` is that subsystem:
   lane between ``min_workers`` and ``max_workers``; scale events are
   surfaced in ``stats()["autoscaler"]``.  In-process backends compile on the
   worker thread; backends listed in ``process_backends`` are forwarded to a
-  ``ProcessPoolExecutor`` that reuses the pickled-task machinery of
-  ``compile_batch(executor="process")``.
+  per-lane ``ProcessPoolExecutor``.  A pool broken by a dead worker process
+  is replaced and the request retried once, so it costs a retry, not the
+  lane.
 * **Server-backed shared cache** — pass ``store=CacheServer().store()`` and
   the service cache lives behind a cache server: process-lane workers check
   and fill it from inside their worker processes, and anything else holding
@@ -47,11 +49,12 @@ import threading
 import queue as queue_module
 from concurrent.futures import FIRST_COMPLETED, Future, InvalidStateError, ProcessPoolExecutor
 from concurrent.futures import wait as futures_wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from time import perf_counter
 from typing import TYPE_CHECKING
 
-from ..api.batch import CompilationCache, _compile_task, _failure_result, result_cache_key
+from ..api.batch import CompilationCache, result_cache_key
 from ..api.facade import apply_pass_overrides, resolve_backend
 from ..api.registry import CompilerBackend
 from ..api.result import CompilationResult
@@ -172,6 +175,37 @@ class DeadlineExceeded(RuntimeError):
     """
 
 
+def _failure_result(
+    circuit: QuantumCircuit,
+    backend_name: str,
+    objective: str,
+    exc: Exception,
+) -> CompilationResult:
+    return CompilationResult(
+        circuit=circuit,
+        device=None,
+        reward=0.0,
+        reward_name=objective,
+        reached_done=False,
+        backend=backend_name,
+        succeeded=False,
+        error=f"{type(exc).__name__}: {exc}",
+    )
+
+
+def _compile_task(payload: tuple) -> CompilationResult:
+    """Compile one (circuit, backend) pair; exceptions become failure results.
+
+    Run by thread lanes and inside process-lane workers; the payload carries
+    everything a worker needs (no access to the parent's caches).
+    """
+    circuit, backend, device, objective, seed = payload
+    try:
+        return backend.compile(circuit, device=device, objective=objective, seed=seed)
+    except Exception as exc:  # noqa: BLE001 - one failure must not kill the sweep
+        return _failure_result(circuit, backend.name, objective, exc)
+
+
 def _deadline_result(request: "CompileRequest") -> CompilationResult:
     """The structured failure result for an expired request."""
     waited = perf_counter() - request.submitted_at
@@ -281,7 +315,7 @@ class CompileRequest:
     execute_span: "Span | None" = None
 
     def key(self) -> tuple:
-        """The shared-cache key (the one scheme shared with ``compile_batch``)."""
+        """The result-cache key (:func:`~repro.api.batch.result_cache_key`)."""
         device_name = self.device.name if self.device is not None else None
         return result_cache_key(self.circuit, self.backend, device_name, self.seed)
 
@@ -336,6 +370,7 @@ class _Lane:
         self.pool = (
             ProcessPoolExecutor(max_workers=max_workers) if kind == "process" else None
         )
+        self.pool_restarts = 0
         self.set_target(min_workers)
 
     # -- worker management -------------------------------------------------------------
@@ -405,6 +440,21 @@ class _Lane:
 
     # -- dispatch / teardown -----------------------------------------------------------
 
+    def replace_pool(self, broken: ProcessPoolExecutor) -> None:
+        """Swap a fresh process pool in for ``broken``.
+
+        Every worker that hit the broken pool calls this; only the first one
+        (while ``broken`` is still the lane's pool) replaces it.
+        """
+        with self._lock:
+            # A stopping lane gets no new pool (stop() would never shut it
+            # down); the retry then fails on the broken one.
+            if self._stopping or self.pool is not broken:
+                return
+            self.pool = ProcessPoolExecutor(max_workers=self.max_workers)
+            self.pool_restarts += 1
+        broken.shutdown(wait=False)
+
     def enqueue(self, request: CompileRequest, key: tuple, *, seq: int | None = None) -> None:
         self.queue.put((request.sort_key(seq), (request, key)))
 
@@ -413,14 +463,15 @@ class _Lane:
         with self._lock:
             self._stopping = True
             alive = self._alive
+            pool = self.pool
         for _ in range(alive):
             # Highest possible priority: workers stop before touching any
             # request still queued behind the tokens.
             self.queue.put(((float("-inf"), -next(self._stop_seq)), _STOP_WORKER))
         for thread in self._threads:
             thread.join(timeout=10)
-        if self.pool is not None:
-            self.pool.shutdown(wait=wait)
+        if pool is not None:
+            pool.shutdown(wait=wait)
 
     def drain_pending(self) -> list[tuple[CompileRequest, tuple]]:
         """Pop every request the retired workers left behind (stale boosts excluded)."""
@@ -452,6 +503,7 @@ class _Lane:
             "busy": busy,
             "queue_depth": self.queue_depth(),
             "dispatched": self.dispatched,
+            "pool_restarts": self.pool_restarts,
         }
 
 
@@ -473,12 +525,9 @@ class CompileService:
     min_workers / max_workers:
         Per-lane worker bounds.  Lanes start at ``min_workers``; the
         autoscaler grows them toward ``max_workers`` under queue pressure and
-        shrinks them back when idle.  ``lane_workers`` overrides the *upper*
-        bound per backend name.
-    autoscale:
-        Run the lane supervisor (default).  With ``autoscale=False`` every
-        lane holds ``max_workers`` workers for its whole life (the pre-QoS
-        behaviour).
+        shrinks them back when idle.  ``min_workers=max_workers`` pins every
+        lane at a fixed size.  ``lane_workers`` overrides the *upper* bound
+        per backend name.
     autoscale_interval:
         Seconds between supervisor sweeps.
     cache_size:
@@ -498,7 +547,6 @@ class CompileService:
         max_workers: int = 2,
         min_workers: int = 1,
         lane_workers: dict | None = None,
-        autoscale: bool = True,
         autoscale_interval: float = 0.25,
         cache_size: int = 4096,
         name: str = "compile-service",
@@ -514,7 +562,6 @@ class CompileService:
         self._max_workers = max(1, max_workers)
         self._min_workers = max(1, min(min_workers, self._max_workers))
         self._lane_workers = dict(lane_workers or {})
-        self.autoscale = autoscale
         self.autoscale_interval = autoscale_interval
         self._queue: queue_module.PriorityQueue = queue_module.PriorityQueue()
         self._lanes: dict[str, _Lane] = {}
@@ -545,12 +592,10 @@ class CompileService:
             target=self._scheduler_loop, name=f"{name}-scheduler", daemon=True
         )
         self._scheduler.start()
-        self._supervisor: threading.Thread | None = None
-        if autoscale:
-            self._supervisor = threading.Thread(
-                target=self._autoscale_loop, name=f"{name}-autoscaler", daemon=True
-            )
-            self._supervisor.start()
+        self._supervisor = threading.Thread(
+            target=self._autoscale_loop, name=f"{name}-autoscaler", daemon=True
+        )
+        self._supervisor.start()
 
     # -- client API ------------------------------------------------------------------
 
@@ -593,7 +638,7 @@ class CompileService:
         requests fail fast instead of poisoning the queue.  The future's
         result is always a :class:`~repro.CompilationResult` — compilation
         failures and deadline expiries are captured as ``succeeded=False``
-        results, matching ``compile_batch``.
+        results, which is what ``compile_batch`` collects.
         """
         if deadline is not None:
             deadline = float(deadline)
@@ -747,8 +792,7 @@ class CompileService:
         self._stop_event.set()
         self._queue.put(((float("-inf"), -1), _STOP))
         self._scheduler.join(timeout=10)
-        if self._supervisor is not None:
-            self._supervisor.join(timeout=5)
+        self._supervisor.join(timeout=5)
         with self._lock:
             lanes = list(self._lanes.values())
         for lane in lanes:
@@ -916,7 +960,6 @@ class CompileService:
             },
             "lanes": lanes,
             "autoscaler": {
-                "enabled": self.autoscale,
                 "interval_seconds": self.autoscale_interval,
                 "scale_ups": metrics["scale_ups"],
                 "scale_downs": metrics["scale_downs"],
@@ -1027,8 +1070,6 @@ class CompileService:
                 ) from exc
         max_workers = self._lane_workers.get(backend.name, self._max_workers)
         min_workers = min(self._min_workers, max_workers)
-        if not self.autoscale:
-            min_workers = max_workers
         lane = _Lane(self, backend.name, kind, min_workers, max_workers)
         with self._lock:
             # Another thread may have created the lane meanwhile: keep the
@@ -1093,7 +1134,14 @@ class CompileService:
                 # can reach the parent cache or any caller.
                 trace_ctx = execute_span.context() if execute_span is not None else None
                 payload = (*task, key, self._shared_store, trace_ctx)
-                result = lane.pool.submit(_process_lane_task, payload).result()
+                pool = lane.pool
+                try:
+                    result = pool.submit(_process_lane_task, payload).result()
+                except BrokenProcessPool:
+                    # A worker process died (OOM kill, segfault): the pool is
+                    # unusable for good.  Replace it and retry this request once.
+                    lane.replace_pool(pool)
+                    result = lane.pool.submit(_process_lane_task, payload).result()
                 worker = result.metadata.pop("_worker", None)
                 if worker:
                     span_histograms().merge(worker["histograms"])
@@ -1159,9 +1207,8 @@ class CompileService:
                 self._finish(follower, shared)
             else:
                 # The owner failed (failures are never cached or shared):
-                # give each coalesced request its own attempt, matching
-                # compile_batch's duplicate handling.  No in-flight entry is
-                # registered, so the retries run independently.
+                # give each coalesced request its own attempt.  No in-flight
+                # entry is registered, so the retries run independently.
                 self._redispatch(follower, key)
 
     def _redispatch(self, follower: CompileRequest, key: tuple | None) -> None:

@@ -362,19 +362,16 @@ class TestBatchCompilation:
                 cache=None,
             )
 
-    def test_unknown_executor_rejected(self):
-        with pytest.raises(ValueError, match="unknown executor"):
-            compile_batch(
-                [benchmark_circuit("ghz", 3)], backends=["qiskit-o0"], executor="rocket"
-            )
+    def test_process_lanes_match_thread_lanes(self):
+        from repro.service import CompileService
 
-    def test_process_executor_matches_thread_executor(self):
         circuits = [benchmark_circuit("ghz", 3), benchmark_circuit("qft", 3)]
         backends = ["qiskit-o1", "tket-o1"]
-        thread = compile_batch(circuits, backends, cache=None, executor="thread")
-        process = compile_batch(
-            circuits, backends, cache=None, executor="process", max_workers=2
-        )
+        thread = compile_batch(circuits, backends, cache=None)
+        with CompileService(process_backends=tuple(backends), max_workers=2) as service:
+            process = compile_batch(circuits, backends, service=service)
+            lanes = service.stats()["lanes"]
+        assert {lanes[name]["kind"] for name in backends} == {"process"}
         assert len(process) == len(thread) == 4
         assert not process.failures
         for index in range(len(circuits)):
@@ -384,25 +381,26 @@ class TestBatchCompilation:
                 assert b.reward == pytest.approx(a.reward)
                 assert b.circuit.fingerprint() == a.circuit.fingerprint()
 
-    def test_process_executor_merges_results_into_shared_cache(self):
+    def test_process_lane_results_land_in_the_service_cache(self):
+        from repro.service import CompileService
+
         circuits = [benchmark_circuit("ghz", 3)]
-        cache = CompilationCache()
-        first = compile_batch(
-            circuits, backends=["qiskit-o1"], cache=cache, executor="process"
-        )
-        assert not first.get(0, "qiskit-o1").metadata.get("cached")
-        assert len(cache) == 1
-        # The re-sweep is served from the parent-side cache (any executor).
-        again = compile_batch(
-            circuits, backends=["qiskit-o1"], cache=cache, executor="process"
-        )
+        with CompileService(process_backends=("qiskit-o1",)) as service:
+            first = compile_batch(circuits, backends=["qiskit-o1"], service=service)
+            assert not first.get(0, "qiskit-o1").metadata.get("cached")
+            assert len(service.cache) == 1
+            # The re-sweep is served from the service's cache.
+            again = compile_batch(circuits, backends=["qiskit-o1"], service=service)
         assert again.get(0, "qiskit-o1").metadata.get("cached")
 
     def test_process_batch_results_pickle_round_trip(self):
         import pickle
 
+        from repro.service import CompileService
+
         circuits = [benchmark_circuit("ghz", 3)]
-        batch = compile_batch(circuits, backends=["qiskit-o1"], cache=None, executor="process")
+        with CompileService(process_backends=("qiskit-o1",)) as service:
+            batch = compile_batch(circuits, backends=["qiskit-o1"], service=service)
         restored = pickle.loads(pickle.dumps(batch))
         assert len(restored) == len(batch)
         original = batch.get(0, "qiskit-o1")
@@ -412,22 +410,62 @@ class TestBatchCompilation:
         assert round_tripped.circuit.fingerprint() == original.circuit.fingerprint()
 
     def test_unpicklable_backend_gets_clear_error_for_process_executor(self):
+        import threading
+
+        from repro.service import CompileService
+
         class _Unpicklable:
             name = "unpicklable"
 
             def __init__(self):
-                self.lock = __import__("threading").Lock()
+                self.lock = threading.Lock()
 
             def compile(self, circuit, *, device=None, objective="fidelity", seed=0):
                 raise AssertionError("never reached")
 
-        with pytest.raises(ValueError, match="cannot be pickled"):
-            compile_batch(
+        with CompileService(process_backends=("unpicklable",)) as service:
+            batch = compile_batch(
                 [benchmark_circuit("ghz", 3)],
-                backends=[_Unpicklable()],
-                cache=None,
-                executor="process",
+                backends=[_Unpicklable(), "qiskit-o0"],
+                service=service,
             )
+        # The bad backend fails with a message naming the cause; the rest of
+        # the sweep is unaffected.
+        failed = batch.get(0, "unpicklable")
+        assert not failed.succeeded
+        assert "cannot be pickled" in failed.error
+        assert batch.get(0, "qiskit-o0").succeeded
+
+    def test_default_sweep_leaves_no_service_running(self):
+        import threading
+
+        before = {thread.ident for thread in threading.enumerate()}
+        batch = compile_batch(
+            [benchmark_circuit("ghz", 3), benchmark_circuit("dj", 3)],
+            backends=["qiskit-o0", "tket-o0"],
+            cache=None,
+            max_workers=2,
+        )
+        assert not batch.failures
+        # The short-lived service was drained and its scheduler, supervisor
+        # and lane workers joined before compile_batch returned.
+        leftover = [
+            thread.name
+            for thread in threading.enumerate()
+            if thread.ident not in before
+            and thread.name.startswith(("compile-service", "svc-"))
+        ]
+        assert leftover == []
+
+    def test_given_service_cache_is_the_only_one_used(self):
+        from repro.service import CompileService
+
+        circuits = [benchmark_circuit("ghz", 3)]
+        cache = CompilationCache()
+        with CompileService() as service:
+            compile_batch(circuits, backends=["qiskit-o0"], cache=cache, service=service)
+            assert len(service.cache) == 1
+        assert len(cache) == 0
 
 
 class TestFingerprintAndCache:

@@ -387,7 +387,7 @@ class TestForwardingService:
 
     def test_backlogged_local_spills_to_idle_peer(self, circuit, scripted_backend):
         scripted_backend.gate = threading.Event()
-        with CompileService(name="local", max_workers=1, autoscale=False) as local:
+        with CompileService(name="local", max_workers=1, min_workers=1) as local:
             with CompileService(name="peer") as peer:
                 router = ForwardingService(
                     local, {"peer": ServiceClient(peer)}, spill_threshold=2
@@ -587,7 +587,7 @@ def remote_shaped_client():
     exercises exactly the remote code path — ticket issue, multiplexed
     waiter thread, poll loop — without a subprocess.
     """
-    service = CompileService(max_workers=1, autoscale=False)
+    service = CompileService(max_workers=1, min_workers=1)
     client = ServiceClient(service)
     client._service = None
     client._proxy = service

@@ -248,7 +248,7 @@ class TestFairShareOrdering:
             Tenant("light", "light-key", weight=1.0),
             Tenant("ops", "ops-key", admin=True),
         ]
-        with CompileService(max_workers=1, autoscale=False) as service:
+        with CompileService(max_workers=1, min_workers=1) as service:
             with GatewayServer(service, tenants=tenants, sample_interval=0) as gw:
                 ops = GatewayClient(gw.url, api_key="ops-key")
                 heavy = GatewayClient(gw.url, api_key="heavy-key")

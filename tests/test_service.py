@@ -334,17 +334,11 @@ class TestCompileService:
             assert result.succeeded
 
     def test_compile_batch_qos_fields(self, small_circuits):
-        with pytest.raises(ValueError, match="executor='service'"):
-            compile_batch(small_circuits, ["qiskit-o0"], priority=1)
-        with pytest.raises(ValueError, match="executor='service'"):
-            compile_batch(small_circuits, ["qiskit-o0"], deadline=1.0)
         with CompileService() as service:
             batch = compile_batch(
                 small_circuits,
                 ["qiskit-o0"],
                 device="ibmq_washington",
-                cache=None,
-                executor="service",
                 service=service,
                 priority=2,
                 deadline=300.0,
@@ -360,8 +354,6 @@ class TestCompileService:
                 [small_circuits[0], small_circuits[0]],
                 ["qiskit-o1"],
                 device="ibmq_washington",
-                cache=None,
-                executor="service",
                 service=service,
                 deadline=0,
             )
@@ -394,19 +386,10 @@ class TestCompileService:
                 small_circuits,
                 ["qiskit-o1", "tket-o0"],
                 device="ibmq_washington",
-                cache=None,
-                executor="service",
                 service=service,
             )
         assert [r.reward for r in serviced] == pytest.approx([r.reward for r in threaded])
         assert not serviced.failures
-
-    def test_compile_batch_service_argument_validation(self, small_circuits):
-        with CompileService() as service:
-            with pytest.raises(ValueError, match="executor='service'"):
-                compile_batch(
-                    small_circuits, ["qiskit-o0"], executor="thread", service=service
-                )
 
     def test_ticket_rpc_surface(self, small_circuits):
         with CompileService() as service:

@@ -11,7 +11,8 @@ asserts the invariants that matter:
   overtakes every queued low-priority one;
 * an expired deadline (``deadline=0`` is the extreme case) never reaches a
   worker — the backend is not called, no lane is even created;
-* the autoscaler's scale-up/scale-down events land in ``stats()``.
+* the autoscaler's scale-up/scale-down events land in ``stats()``;
+* a killed process-lane worker costs one retry, not the lane.
 
 Everything is driven by events and seeded RNGs — no timing assumptions
 beyond generous join timeouts — so the suite is deterministic on slow CI.
@@ -20,6 +21,8 @@ Run it alone with ``pytest -m stress``.
 
 from __future__ import annotations
 
+import os
+import signal
 import threading
 import time
 from concurrent.futures import Future
@@ -175,7 +178,7 @@ class TestStrictPriorityOrdering:
 
             return callback
 
-        with CompileService(max_workers=1, autoscale=False) as service:
+        with CompileService(max_workers=1, min_workers=1) as service:
             blocker = service.submit(circuit, backend, seed=0)
             assert backend.seed0_running.wait(timeout=30)
             # The single worker is now pinned: everything below queues.
@@ -242,7 +245,7 @@ class TestDeadlines:
         """A deadline that expires while queued behind a blocker is skipped by
         the worker; requests without deadlines still complete."""
         backend = GatedBackend("stress-expire")
-        with CompileService(max_workers=1, autoscale=False) as service:
+        with CompileService(max_workers=1, min_workers=1) as service:
             blocker = service.submit(circuit, backend, seed=0)
             assert backend.seed0_running.wait(timeout=30)
             doomed = service.submit(circuit, backend, seed=1, deadline=0.05)
@@ -286,7 +289,7 @@ class TestAutoscaler:
                 if scaler["scale_ups"] >= 1 and scaler["scale_downs"] >= 1:
                     break
                 time.sleep(0.05)
-        assert scaler["enabled"] is True
+        assert scaler["interval_seconds"] == 0.05
         assert scaler["scale_ups"] >= 1, "burst never triggered a scale-up"
         assert scaler["scale_downs"] >= 1, "idle lane never scaled down"
         events = scaler["events"]
@@ -298,13 +301,47 @@ class TestAutoscaler:
         assert all(e["to_workers"] == e["from_workers"] - 1 for e in downs)
         assert all(e["to_workers"] <= 4 and e["to_workers"] >= 1 for e in events)
 
-    def test_autoscale_disabled_pins_lane_at_max(self, circuit):
+    def test_min_equals_max_pins_lane_at_max(self, circuit):
         backend = RecordingBackend("stress-pinned")
-        with CompileService(max_workers=3, autoscale=False) as service:
+        with CompileService(max_workers=3, min_workers=3) as service:
             assert service.submit(circuit, backend).result(timeout=30).succeeded
             lane = service.stats()["lanes"]["stress-pinned"]
             assert lane["workers"] == 3
-            assert service.stats()["autoscaler"]["enabled"] is False
+            # The supervisor runs, but min == max leaves it nothing to scale.
+            assert service.autoscale_once() == []
+            assert service.stats()["autoscaler"]["scale_ups"] == 0
+
+
+class TestProcessLaneRecovery:
+    def test_killed_worker_costs_a_retry_not_the_lane(self):
+        """SIGKILL the only worker of a process lane: the pool is replaced
+        once and every later request still compiles."""
+        circuits = [benchmark_circuit("ghz", n) for n in range(2, 6)]
+        with CompileService(process_backends=("qiskit-o0",), max_workers=1) as service:
+            assert service.submit(circuits[0], "qiskit-o0").result(timeout=120).succeeded
+            pool = service._lanes["qiskit-o0"].pool
+            for pid in list(pool._processes):
+                os.kill(pid, signal.SIGKILL)
+            for later in circuits[1:]:  # distinct circuits: no cache hits
+                result = service.submit(later, "qiskit-o0").result(timeout=120)
+                assert result.succeeded, result.error
+            lane = service.stats()["lanes"]["qiskit-o0"]
+        assert lane["pool_restarts"] == 1
+        assert lane["dispatched"] == 4
+
+    def test_stopped_lane_gets_no_fresh_pool(self, circuit):
+        """A worker that finds the pool broken during shutdown must not start
+        a new pool that nothing would ever shut down."""
+        service = CompileService(process_backends=("qiskit-o0",), max_workers=1)
+        try:
+            assert service.submit(circuit, "qiskit-o0").result(timeout=120).succeeded
+            lane = service._lanes["qiskit-o0"]
+            pool = lane.pool
+        finally:
+            service.shutdown(drain=True)
+        lane.replace_pool(pool)
+        assert lane.pool is pool
+        assert lane.pool_restarts == 0
 
 
 class TestDeadCacheStoreResilience:
@@ -344,7 +381,7 @@ class TestServiceTimeoutRegression:
         """ServiceClient.result must raise ServiceTimeout with the queue depth
         at expiry, not a bare futures TimeoutError."""
         backend = GatedBackend("stress-timeout")
-        with CompileService(max_workers=1, autoscale=False) as service:
+        with CompileService(max_workers=1, min_workers=1) as service:
             client = ServiceClient(service)
             blocked = client.submit(circuit, backend, seed=0)
             assert backend.seed0_running.wait(timeout=30)
