@@ -1,4 +1,4 @@
-"""Shared fixtures for the benchmark harness.
+"""Shared fixtures for the paper-reproduction benchmarks.
 
 The benchmarks reproduce every table and figure of the paper's evaluation at
 a configurable (default: reduced) scale.  Training and comparison data are
@@ -12,13 +12,15 @@ Scale knobs (environment variables):
 * ``REPRO_BENCH_QUBITS``  — qubit count for the per-family evaluation circuits (default 5)
 * ``REPRO_MAX_QUBITS``    — maximum qubit count of the training suite (default 6)
 
-``REPRO_BENCH_WRITE=1`` records a run: the ``BENCH_*.json`` writers and
-:func:`report` update ``benchmarks/results/``.  Without it they only print.
+``REPRO_BENCH_WRITE=1`` records a run: :func:`report` appends the paper
+tables to ``benchmarks/results/latest.txt``.  Without it they only print.
+
+Performance is not measured here: ``perfbench/run.py`` is the one seeded
+harness for timings (see ``perfbench/README.md``).
 """
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 from pathlib import Path
@@ -37,24 +39,8 @@ from repro.rl import PPOConfig  # noqa: E402
 
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
 
-#: the committed result files change only when a run is meant to record them
+#: ``latest.txt`` changes only when a run is meant to record it
 WRITE_RESULTS = os.environ.get("REPRO_BENCH_WRITE", "") == "1"
-
-
-def write_results(filename: str, payload: dict, config: dict) -> None:
-    """Merge ``payload`` and ``config`` into ``results/<filename>`` (JSON).
-
-    Only with ``REPRO_BENCH_WRITE=1``: a plain test run leaves the committed
-    files alone.
-    """
-    if not WRITE_RESULTS:
-        return
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / filename
-    data = json.loads(path.read_text()) if path.exists() else {}
-    data.update(payload)
-    data["config"] = config
-    path.write_text(json.dumps(data, indent=1, sort_keys=True))
 
 
 def report(text: str) -> None:

@@ -59,10 +59,11 @@ def main() -> None:
         for thread in threads:
             thread.join()
         stats = service.stats()
+        latency = stats["spans"]["service.request"]
         print(
             f"  service: {stats['submitted']} submitted, "
             f"{stats['cache_hits']} cache hits, {stats['coalesced']} coalesced, "
-            f"mean latency {stats['latency']['mean_seconds'] * 1000:.1f}ms"
+            f"mean latency {latency['sum'] / latency['count'] * 1000:.1f}ms"
         )
         print(f"  lanes: {stats['lanes']}")
         print(f"  cache: {stats['cache']}")

@@ -10,7 +10,8 @@ runs every sweep on:
   scheduler, autoscaled per-backend worker lanes (thread lanes for
   in-process backends, process lanes for the ``process_backends``), request
   coalescing, and
-  hit/miss/queue-depth/latency/autoscale metrics via
+  hit/miss/queue-depth/autoscale counters plus the span histograms
+  (request latency is the ``service.request`` row) via
   :meth:`CompileService.stats`.
 * :class:`CacheServer` / :class:`SharedCacheStore` — a cache server process
   plus picklable store clients, so pool workers, other services and

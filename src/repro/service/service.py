@@ -33,8 +33,9 @@ on one (short-lived unless the caller passes its own).
   resident and evicts cheap-to-recompute entries first.
 * **Metrics** — ``stats()`` reports queue depth, in-flight count,
   hit/miss/eviction counters, coalescing, deadline expiries, per-lane worker
-  and dispatch counts, autoscale events, and request latency, so benchmarks
-  can measure the service instead of guessing.
+  and dispatch counts and autoscale events.  Request latency, submit to
+  resolution, goes to the one timing sink as the ``service.request`` row of
+  ``stats()["spans"]``.
 
 The service runs in-process; ``python -m repro.service`` exposes one over a
 ``multiprocessing`` manager for remote :class:`~repro.service.ServiceClient`\\ s
@@ -579,8 +580,6 @@ class CompileService:
             "deadline_exceeded": 0,
             "scale_ups": 0,
             "scale_downs": 0,
-            "latency_total": 0.0,
-            "latency_max": 0.0,
         }
         self._scale_events: list[dict] = []
         self._observers: list = []
@@ -928,14 +927,13 @@ class CompileService:
     # -- metrics ---------------------------------------------------------------------
 
     def stats(self) -> dict:
-        """Queue/cache/lane/latency/autoscaler counters for monitoring and benchmarks."""
+        """Queue/cache/lane/autoscaler counters and the span histograms, for monitoring."""
         with self._lock:
             metrics = dict(self._metrics)
             in_flight = len(self._inflight)
             lanes = {name: lane.stats() for name, lane in self._lanes.items()}
             unfinished = self._unfinished
             scale_events = list(self._scale_events)
-        completed = metrics["completed"]
         queue_depth = self._queue.qsize() + sum(
             lane["queue_depth"] for lane in lanes.values()
         )
@@ -946,7 +944,7 @@ class CompileService:
         return {
             "name": self.name,
             "submitted": metrics["submitted"],
-            "completed": completed,
+            "completed": metrics["completed"],
             "failed": metrics["failed"],
             "cache_hits": metrics["cache_hits"],
             "coalesced": metrics["coalesced"],
@@ -954,10 +952,6 @@ class CompileService:
             "queue_depth": queue_depth,
             "in_flight": in_flight,
             "unfinished": unfinished,
-            "latency": {
-                "mean_seconds": metrics["latency_total"] / completed if completed else 0.0,
-                "max_seconds": metrics["latency_max"],
-            },
             "lanes": lanes,
             "autoscaler": {
                 "interval_seconds": self.autoscale_interval,
@@ -1250,13 +1244,11 @@ class CompileService:
             request.future.set_result(result)
         except InvalidStateError:  # already failed by a drain=False shutdown
             return
-        latency = perf_counter() - request.submitted_at if request.submitted_at else 0.0
+        span_histograms().observe("service.request", perf_counter() - request.submitted_at)
         with self._lock:
             self._metrics["completed"] += 1
             if not result.succeeded:
                 self._metrics["failed"] += 1
-            self._metrics["latency_total"] += latency
-            self._metrics["latency_max"] = max(self._metrics["latency_max"], latency)
             self._unfinished -= 1
             self._idle.notify_all()
         self._notify("finished", request, result)

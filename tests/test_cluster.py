@@ -310,6 +310,43 @@ class TestServiceWithShardedStore:
                     assert second.metadata.get("cached") is True
                     assert svc_b.stats()["cache_hits"] == 1
 
+    def test_repeated_wave_is_served_across_hosts_without_dispatch(self):
+        """A finished wave repeated on the other host: every request is a
+        shard hit and neither host's lanes see new work."""
+        workload = [
+            (benchmark_circuit(name, 4), backend)
+            for name in ("ghz", "qft")
+            for backend in ("qiskit-o0", "tket-o0")
+        ]
+
+        def wave(hosts, offset):
+            futures = [
+                hosts[(index + offset) % len(hosts)].submit(source, backend)
+                for index, (source, backend) in enumerate(workload)
+            ]
+            assert all(future.result(timeout=120).succeeded for future in futures)
+
+        def counters(hosts):
+            stats = [host.stats() for host in hosts]
+            hits = sum(row["cache_hits"] for row in stats)
+            dispatched = sum(
+                lane["dispatched"] for row in stats for lane in row["lanes"].values()
+            )
+            return hits, dispatched
+
+        with CacheServer(maxsize=256) as server_a, CacheServer(maxsize=256) as server_b:
+            shards = lambda: ShardedCacheStore(  # noqa: E731 - one per service
+                [server_a.store(), server_b.store()], timeout=10.0
+            )
+            with CompileService(store=shards(), name="host-a") as svc_a:
+                with CompileService(store=shards(), name="host-b") as svc_b:
+                    hosts = [svc_a, svc_b]
+                    wave(hosts, offset=0)
+                    hits, dispatched = counters(hosts)
+                    # Shifted by one host: each key lands where it was not compiled.
+                    wave(hosts, offset=1)
+                    assert counters(hosts) == (hits + len(workload), dispatched)
+
     def test_dead_shard_does_not_fail_compiles(self, circuit):
         """The satellite bug: a dead cache server must not take the lane down."""
         server = CacheServer(maxsize=256)

@@ -218,6 +218,10 @@ class TestGatewayHTTP:
         assert result.backend == "qiskit-o1"
         assert result.device is not None and result.device.name == "ibmq_washington"
         assert result.circuit.num_qubits >= 3
+        # The repeat is answered by the service cache, and says so over HTTP.
+        again = client.compile(ghz3, backend="qiskit-o1", device="ibmq_washington")
+        assert again.metadata.get("cached") is True
+        assert again.reward == pytest.approx(result.reward)
 
     def test_compile_accepts_raw_qasm(self, gateway, ghz3):
         client = GatewayClient(gateway.url, api_key="alice-key")

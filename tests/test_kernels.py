@@ -1,6 +1,6 @@
 """Property and regression tests for the batched hot-path kernels.
 
-Three families of guarantees are pinned here:
+Four families of guarantees are pinned here:
 
 * **bit-identity** — ``gate_matrices_batch`` / ``run_products_batch`` must
   reproduce the scalar constructions byte-for-byte (the golden preset traces
@@ -14,7 +14,12 @@ Three families of guarantees are pinned here:
   against the scalar ``_resynthesize`` reference on real preset-flow
   circuits, and the golden cases exercising the pass are re-pinned, so a
   kernel regression fails here with a pointed message before it fails in the
-  broad trace test.
+  broad trace test;
+* **mechanism counts** — each fast path is pinned by a deterministic count
+  of the work it exists to avoid, not by a wall-clock ratio: one batched
+  resynthesis per pass run and no scalar one, no ``DAGCircuit`` built for a
+  feature batch, and fewer rewrite attempts for the incremental worklist
+  than for full resweeps.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ import pytest
 
 from repro.bench import benchmark_circuit, benchmark_suite
 from repro.circuit import QuantumCircuit
+from repro.circuit.dag import DAGCircuit
 from repro.circuit.gates import Gate, Instruction, gate_matrix
 from repro.compilers import preset_pass_manager, run_preset_manager
 from repro.devices import get_device
@@ -48,7 +54,7 @@ from repro.linalg import (
     u3_angles,
     u3_angles_batch,
 )
-from repro.passes import Optimize1qGatesDecomposition, RemoveRedundancies
+from repro.passes import BasisTranslator, Optimize1qGatesDecomposition, RemoveRedundancies
 from repro.passes.base import PassContext
 
 _GOLDEN_PATH = Path(__file__).parent / "golden" / "preset_traces.json"
@@ -224,6 +230,22 @@ class TestFeatureBatchEquivalence:
             assert named["parallelism"] == parallelism(circuit)
             assert named["liveness"] == liveness(circuit)
 
+    def test_batch_builds_no_dag(self, suite, monkeypatch):
+        # The table sweep derives critical depth without materialising the
+        # DAG that the standalone ``critical_depth`` builds per call.
+        built = []
+        init = DAGCircuit.__init__
+
+        def counted_init(dag, *args, **kwargs):
+            built.append(dag)
+            init(dag, *args, **kwargs)
+
+        monkeypatch.setattr(DAGCircuit, "__init__", counted_init)
+        feature_vectors_batch(suite)
+        assert built == []
+        critical_depth(suite[0])  # the legacy walk is seen by the counter
+        assert len(built) == 1
+
     def test_empty_batch(self):
         assert feature_vectors_batch([]).shape == (0, len(FEATURE_NAMES))
 
@@ -280,6 +302,34 @@ class TestRemoveRedundanciesIncremental:
                 circuit.append_instruction(Instruction(Gate("t"), (q,)))
         return circuit
 
+    def _cascade_circuit(self, num_qubits: int, tower_depth: int, stable_depth: int):
+        """A deep circuit whose rewrites cascade on one wire over many sweeps.
+
+        Qubit 0 carries a palindrome tower: each sweep can only cancel the
+        innermost adjacent pair, so the fixed point needs ``tower_depth``
+        sweeps.  The other wires carry stable (non-cancelling) gates that a
+        full resweep re-examines every sweep and the worklist skips after the
+        first.
+        """
+        rng = np.random.default_rng(9)
+        inverses = {"s": "sdg", "t": "tdg", "h": "h", "x": "x"}
+        half = [str(rng.choice(list(inverses))) for _ in range(tower_depth)]
+        tower = half + [inverses[name] for name in reversed(half)]
+        circuit = QuantumCircuit(num_qubits, name="cascade")
+        stable_cycle = ["h", "t", "s", "h", "tdg"]
+        tower_iter = iter(tower)
+        for layer in range(stable_depth):
+            for q in range(1, num_qubits):
+                circuit.append_instruction(
+                    Instruction(Gate(stable_cycle[(layer + q) % len(stable_cycle)]), (q,))
+                )
+            gate_name = next(tower_iter, None)
+            if gate_name is not None:
+                circuit.append_instruction(Instruction(Gate(gate_name), (0,)))
+        for gate_name in tower_iter:
+            circuit.append_instruction(Instruction(Gate(gate_name), (0,)))
+        return circuit
+
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_matches_reference_fixed_point_on_random_circuits(self, seed):
         rng = np.random.default_rng(seed)
@@ -301,6 +351,32 @@ class TestRemoveRedundanciesIncremental:
         result = RemoveRedundancies().run(circuit, PassContext())
         merged = (0.4 + 0.5 + np.pi) % (2 * np.pi) - np.pi
         assert [(i.name, i.params) for i in result] == [("rz", (merged,))]
+
+    def test_worklist_attempts_fewer_rewrites_than_full_resweeps(self, monkeypatch):
+        # A rewrite attempt is one ``_common_previous`` lookup.  The worklist
+        # must save most of them when rewrites cascade on one wire, and must
+        # never make more than the full resweeps on a few-sweep circuit.
+        attempts = [0]
+        common_previous = RemoveRedundancies._common_previous
+
+        def counted(*args):
+            attempts[0] += 1
+            return common_previous(*args)
+
+        monkeypatch.setattr(RemoveRedundancies, "_common_previous", staticmethod(counted))
+
+        def count(fn, circuit) -> int:
+            attempts[0] = 0
+            fn(circuit)
+            return attempts[0]
+
+        def incremental(circuit):
+            return RemoveRedundancies().run(circuit, PassContext())
+
+        cascade = self._cascade_circuit(num_qubits=8, tower_depth=40, stable_depth=400)
+        random_deep = self._random_deep_circuit(np.random.default_rng(5), num_qubits=6, depth=4000)
+        assert count(incremental, cascade) <= count(self._reference_fixed_point, cascade) / 1.5
+        assert count(incremental, random_deep) <= count(self._reference_fixed_point, random_deep)
 
     def test_benchmark_circuits_match_reference(self):
         for circuit in benchmark_suite(min_qubits=3, max_qubits=5, step=2,
@@ -343,6 +419,39 @@ class TestOptimize1qGoldenGuard:
             "batched Optimize1qGatesDecomposition diverged from the scalar "
             "reference — the golden preset traces will break"
         )
+
+    @pytest.mark.parametrize("basis", ["rz_sx", "rz_rx", "rz_ry", "u3"])
+    def test_pass_resynthesises_every_run_in_one_batch(self, monkeypatch, basis):
+        device = get_device("ibmq_washington")
+        circuits = [
+            BasisTranslator().run(benchmark_circuit(name, 8), PassContext(device=device))
+            for name in ("qft", "su2random", "qftentangled", "vqe")
+        ]
+        batch = Optimize1qGatesDecomposition._resynthesize_batch.__func__
+        scalar = Optimize1qGatesDecomposition._resynthesize.__func__
+        calls = {"batch": 0, "runs": 0, "scalar": 0}
+
+        def counted_batch(cls, runs, basis):
+            calls["batch"] += 1
+            calls["runs"] += len(runs)
+            return batch(cls, runs, basis)
+
+        def counted_scalar(cls, run, qubit, basis):
+            calls["scalar"] += 1
+            return scalar(cls, run, qubit, basis)
+
+        monkeypatch.setattr(
+            Optimize1qGatesDecomposition, "_resynthesize_batch", classmethod(counted_batch)
+        )
+        monkeypatch.setattr(
+            Optimize1qGatesDecomposition, "_resynthesize", classmethod(counted_scalar)
+        )
+        pass_ = Optimize1qGatesDecomposition(basis=basis)
+        for circuit in circuits:
+            pass_.run(circuit, PassContext())
+        assert calls["batch"] == len(circuits)
+        assert calls["runs"] > len(circuits)
+        assert calls["scalar"] == 0
 
     def test_golden_cases_using_the_pass_still_match(self):
         cases = [

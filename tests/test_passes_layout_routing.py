@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.bench import benchmark_circuit
 from repro.circuit import QuantumCircuit, random_circuit
 from repro.devices import get_device
 from repro.linalg import allclose_up_to_global_phase, circuit_unitary
@@ -151,6 +152,14 @@ class TestRouting:
         basic = BasicSwap().run(placed_basic, context_basic)
         sabre = SabreSwap().run(placed_sabre, context_sabre)
         assert sabre.num_two_qubit_gates() <= basic.num_two_qubit_gates() * 1.5
+
+    @pytest.mark.parametrize("width", [4, 6, 8, 10])
+    def test_sabre_layout_and_swap_map_qftentangled(self, width, washington):
+        context = PassContext(device=washington, seed=1)
+        native = BasisTranslator().run(benchmark_circuit("qftentangled", width), context)
+        placed = SabreLayout(seed=1).run(native, context)
+        routed = SabreSwap(seed=1).run(placed, context)
+        assert washington.mapping_satisfied(routed)
 
     def test_routing_on_non_cx_device_stays_native(self):
         device = get_device("oqc_lucy")

@@ -228,6 +228,62 @@ class TestCompileService:
         assert stats["cache"]["hits"] - before == len(warm)
         assert stats["cache_hits"] >= len(warm)
 
+    def test_repeated_wave_is_served_without_dispatch(self, small_circuits):
+        """Three clients repeat a finished wave: every request is a cache hit
+        and no lane sees new work, whatever the wave's wall time."""
+        backends = ["qiskit-o1", "tket-o1"]
+        workload = 3 * len(small_circuits) * len(backends)
+
+        def wave(clients):
+            futures = [
+                client.submit(circuit, backend, device="ibmq_washington")
+                for client in clients
+                for circuit in small_circuits
+                for backend in backends
+            ]
+            assert all(future.result(timeout=120).succeeded for future in futures)
+
+        def counters(service):
+            stats = service.stats()
+            dispatched = sum(lane["dispatched"] for lane in stats["lanes"].values())
+            return stats["cache_hits"], dispatched
+
+        with CompileService(max_workers=2) as service:
+            clients = [ServiceClient(service) for _ in range(3)]
+            wave(clients)
+            hits, dispatched = counters(service)
+            wave(clients)
+            assert counters(service) == (hits + workload, dispatched)
+
+    @pytest.mark.parametrize("outcome", ["compile", "cache_hit", "deadline_expiry"])
+    def test_request_latency_row_counts_every_resolved_request(self, small_circuits, outcome):
+        """Compiles, cache hits and deadline expiries each add one observation."""
+
+        def observed(service) -> int:
+            return service.stats()["spans"].get("service.request", {"count": 0})["count"]
+
+        def resolve(service, circuits, **kwargs) -> list:
+            futures = service.submit_many(circuits, "qiskit-o0", device="ibmq_washington", **kwargs)
+            results = [future.result(timeout=120) for future in futures]
+            assert service.drain(timeout=60)
+            return results
+
+        with CompileService(max_workers=1) as service:
+            if outcome == "cache_hit":
+                resolve(service, small_circuits)
+            before = observed(service)
+            if outcome == "deadline_expiry":
+                results = resolve(service, small_circuits, deadline=0)
+                assert not any(result.succeeded for result in results)
+                assert service.stats()["deadline_exceeded"] == len(small_circuits)
+            else:
+                results = resolve(service, small_circuits)
+                assert all(result.succeeded for result in results)
+                cached = [bool(result.metadata.get("cached")) for result in results]
+                assert cached == [outcome == "cache_hit"] * len(small_circuits)
+            assert "latency" not in service.stats()
+            assert observed(service) - before == len(small_circuits)
+
     def test_per_backend_lanes(self, small_circuits):
         with CompileService() as service:
             futures = [
