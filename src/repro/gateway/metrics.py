@@ -218,7 +218,7 @@ def render_prometheus(
     metric(
         "repro_service_queue_depth",
         "gauge",
-        "Requests waiting in the scheduler and lane queues.",
+        "Requests waiting in the lane queues.",
         [_line("repro_service_queue_depth", service_stats.get("queue_depth", 0))],
     )
     metric(

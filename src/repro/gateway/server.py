@@ -142,7 +142,7 @@ class GatewayServer:
         self.sampler = StatsSampler(service.stats, interval=sample_interval or 1.0)
         if sample_interval:
             self.sampler.start()
-        service.add_observer(self._on_service_event)
+        service.add_observer(self._on_request_started)
         self._httpd = _GatewayHTTPServer((host, port), _Handler, gateway=self)
         self._serve_thread = threading.Thread(
             target=self._httpd.serve_forever,
@@ -210,7 +210,7 @@ class GatewayServer:
         answering on them.  The service is left running.
         """
         self.sampler.stop()
-        self.service.remove_observer(self._on_service_event)
+        self.service.remove_observer(self._on_request_started)
         self._httpd.shutdown()
         self._httpd.close_connections()
         self._httpd.server_close()
@@ -408,9 +408,7 @@ class GatewayServer:
 
         return _done
 
-    def _on_service_event(self, event: str, request, result) -> None:
-        if event != "started":
-            return
+    def _on_request_started(self, request) -> None:
         with self._lock:
             job = self._future_jobs.get(request.future)
         if job is not None:

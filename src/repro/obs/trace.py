@@ -1,11 +1,11 @@
 """Request tracing: spans, trace contexts, and their propagation seams.
 
 One compile request crosses a lot of threads on its way through the stack —
-an HTTP handler thread in the gateway, the service's scheduler thread, a lane
-worker thread (or a lane *process*), and finally the pass pipeline.  The
-always-on histograms of :mod:`repro.obs.histogram` answer "how much time does
-the fleet spend in stage X overall"; this module answers "where did *this*
-request spend its 1.3 seconds".
+an HTTP handler thread in the gateway (which also schedules it in the
+service), a lane worker thread (or a lane *process*), and finally the pass
+pipeline.  The always-on histograms of :mod:`repro.obs.histogram` answer
+"how much time does the fleet spend in stage X overall"; this module answers
+"where did *this* request spend its 1.3 seconds".
 
 The building blocks are deliberately stdlib-only and self-contained:
 
@@ -25,8 +25,8 @@ Propagation happens two ways, mirroring how the request actually travels:
   object: if a span is active on its thread it records, otherwise no span
   is built (``timed_span`` still feeds its always-on histogram), which is
   what keeps tracing strictly pay-for-what-you-use.
-* **Explicit context** — code that hops threads (the service's scheduler
-  hands requests to lane workers) or processes (lane pools, the RPC server)
+* **Explicit context** — code that hops threads (a submitting thread hands
+  requests to lane workers) or processes (lane pools, the RPC server)
   carries a :class:`Span` or :class:`SpanContext` in its payload and
   re-activates it on the far side with :func:`activate`, or parents new spans
   onto it via ``Span(..., context=ctx)``.

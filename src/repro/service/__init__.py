@@ -4,10 +4,10 @@ This package turns the one-shot compilation facility (``repro.compile``)
 into a long-lived server, and is the execution engine ``repro.compile_batch``
 runs every sweep on:
 
-* :class:`CompileService` — QoS request queue (per-request ``priority`` and
-  ``deadline``; expired requests resolve to structured
-  :class:`DeadlineExceeded` failure results without occupying a worker),
-  scheduler, autoscaled per-backend worker lanes (thread lanes for
+* :class:`CompileService` — QoS scheduling on the submitting thread
+  (per-request ``priority`` and ``deadline``; expired requests resolve to
+  structured :class:`DeadlineExceeded` failure results without occupying a
+  worker), autoscaled per-backend priority lanes (thread lanes for
   in-process backends, process lanes for the ``process_backends``), request
   coalescing, and
   hit/miss/queue-depth/autoscale counters plus the span histograms

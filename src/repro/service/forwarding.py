@@ -25,9 +25,9 @@ A forwarded request whose peer dies mid-flight is resubmitted locally — a
 request accepted by the router is never lost to a peer failure.
 
 The class exposes the full service RPC surface (``submit_request`` /
-``wait_result`` / ``poll_tickets`` / ``stats`` / ``ping`` / ``health`` /
-``set_draining``), so ``python -m repro.service --peer host:port`` serves a
-router in place of the bare service with no client-side changes.
+``poll_tickets`` / ``stats`` / ``ping`` / ``health`` / ``set_draining``), so
+``python -m repro.service --peer host:port`` serves a router in place of the
+bare service with no client-side changes.
 """
 
 from __future__ import annotations
@@ -337,10 +337,6 @@ class ForwardingService:
         )
         return self._ticket_book.issue(future)
 
-    def wait_result(self, ticket: str, timeout: float | None = None):
-        """Block until the ticket's request resolves; the ticket is single-use."""
-        return self._ticket_book.wait(ticket, timeout)
-
     def poll_tickets(self, tickets, timeout: float = 0.5) -> dict:
         """Resolve any finished tickets among ``tickets`` in one bounded wait."""
         return self._ticket_book.poll(tickets, timeout)
@@ -349,10 +345,10 @@ class ForwardingService:
         return self.service.ping()
 
     def add_observer(self, observer) -> None:
-        """Observe the *local* service's request lifecycle (gateway SSE seam).
+        """Observe request starts on the *local* service (gateway SSE seam).
 
-        Forwarded requests emit their lifecycle events on the peer; the local
-        observer sees them only as resolved futures.
+        Forwarded requests start on the peer; the local observer sees them
+        only as resolved futures.
         """
         self.service.add_observer(observer)
 

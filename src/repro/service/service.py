@@ -1,4 +1,4 @@
-"""The compile server: QoS request queue, autoscaled worker lanes, shared cache.
+"""The compile server: QoS lane queues, autoscaled worker lanes, shared cache.
 
 A *service* accepts requests from many concurrent clients, keeps its pools
 warm between them, and shares one result cache across everything it
@@ -6,13 +6,15 @@ compiles.  It is the one execution engine: ``compile_batch`` runs each sweep
 on one (short-lived unless the caller passes its own).
 :class:`CompileService` is that subsystem:
 
-* **Priority request queue + scheduler** — every ``submit()`` enqueues a
+* **Scheduling on the caller's thread** — every ``submit()`` builds a
   :class:`CompileRequest` carrying a ``priority`` (higher runs first) and an
   optional ``deadline`` (seconds; a request that cannot start in time is
   expired into a structured :class:`DeadlineExceeded` failure result instead
-  of compiling).  A scheduler thread pops requests in priority order, serves
-  cache hits immediately, coalesces requests for work that is already in
-  flight, and dispatches the rest to per-backend worker lanes.
+  of compiling).  Still on the submitting thread, it serves a cache hit
+  immediately, coalesces onto identical work already in flight, or pushes
+  the request onto its backend lane's priority queue — the only queue a
+  request ever waits in.  A slow cache lookup therefore delays only the
+  request it is for.
 * **Autoscaled per-backend lanes** — each backend gets its own lane: a
   priority queue drained by worker threads, so a slow backend (``best-of``,
   an RL predictor) cannot starve the cheap preset lanes and a high-priority
@@ -82,7 +84,6 @@ __all__ = [
 #: exposes to remote clients through the manager
 SERVICE_RPC_METHODS = (
     "submit_request",
-    "wait_result",
     "poll_tickets",
     "stats",
     "ping",
@@ -111,26 +112,16 @@ class TicketBook:
             self._futures[ticket] = future
         return ticket
 
-    def wait(self, ticket: str, timeout: float | None = None):
-        """Block until the ticket's request resolves; the ticket is single-use."""
-        with self._lock:
-            future = self._futures.get(ticket)
-        if future is None:
-            raise KeyError(f"unknown or already-collected request ticket {ticket!r}")
-        result = future.result(timeout)
-        with self._lock:
-            self._futures.pop(ticket, None)
-        return result
-
     def poll(self, tickets, timeout: float = 0.5) -> dict:
         """One multiplexed wait over many tickets.
 
         Blocks up to ``timeout`` seconds for *any* of ``tickets`` to resolve
         and returns ``{ticket: result}`` for every one that did (empty dict
-        on timeout).  Returned tickets are collected — single-use, like
-        :meth:`wait`.  This is what lets a remote client resolve an
-        arbitrary number of outstanding tickets through one waiter thread
-        instead of parking one blocked ``wait_result`` call per ticket.
+        on timeout).  Returned tickets are collected: a ticket is
+        single-use, and polling it again raises ``KeyError``.  This is what
+        lets a remote client resolve an arbitrary number of outstanding
+        tickets through one waiter thread instead of parking one blocked
+        call per ticket.
         """
         with self._lock:
             futures = {}
@@ -157,9 +148,6 @@ class TicketBook:
                     self._futures.pop(ticket, None)
                     done[ticket] = future.result(timeout=0)
         return done
-
-#: scheduler-queue sentinel that stops the scheduler thread
-_STOP = object()
 
 #: lane-queue sentinel that retires exactly one lane worker
 _STOP_WORKER = object()
@@ -192,6 +180,11 @@ def _failure_result(
         succeeded=False,
         error=f"{type(exc).__name__}: {exc}",
     )
+
+
+def _request_failure(request: "CompileRequest", exc: Exception) -> CompilationResult:
+    """The structured failure result resolving ``request`` with ``exc``."""
+    return _failure_result(request.circuit, request.backend.name, request.objective, exc)
 
 
 def _compile_task(payload: tuple) -> CompilationResult:
@@ -304,7 +297,7 @@ class CompileRequest:
     effective_priority: int = 0
     #: set once a worker has claimed the request (guards boost duplicates)
     started: bool = False
-    #: the lane the request was dispatched to (set by the scheduler)
+    #: the lane the request was dispatched to (set by ``_dispatch``)
     lane: "object | None" = None
     #: the request's ``service.request`` span (``None`` when untraced)
     span: "Span | None" = None
@@ -457,7 +450,12 @@ class _Lane:
         broken.shutdown(wait=False)
 
     def enqueue(self, request: CompileRequest, key: tuple, *, seq: int | None = None) -> None:
-        self.queue.put((request.sort_key(seq), (request, key)))
+        # The put shares the lane lock with stop()'s flag flip, so an entry
+        # is either visible to drain_pending() or refused — never orphaned.
+        with self._lock:
+            if self._stopping:
+                raise RuntimeError(f"lane {self.backend_name!r} is stopped")
+            self.queue.put((request.sort_key(seq), (request, key)))
 
     def stop(self, *, wait: bool) -> None:
         """Retire every worker (stop tokens jump the queue) and close the pool."""
@@ -564,10 +562,10 @@ class CompileService:
         self._min_workers = max(1, min(min_workers, self._max_workers))
         self._lane_workers = dict(lane_workers or {})
         self.autoscale_interval = autoscale_interval
-        self._queue: queue_module.PriorityQueue = queue_module.PriorityQueue()
         self._lanes: dict[str, _Lane] = {}
         self._inflight: dict[tuple, tuple[CompileRequest, list[CompileRequest]]] = {}
         self._lock = threading.Lock()
+        self._lane_build_lock = threading.Lock()
         self._idle = threading.Condition(self._lock)
         self._unfinished = 0
         self._closed = False
@@ -582,15 +580,14 @@ class CompileService:
             "scale_downs": 0,
         }
         self._scale_events: list[dict] = []
-        self._observers: list = []
+        #: copy-on-write tuple, so a lane worker iterates it without the lock
+        self._observers: tuple = ()
         self._draining = False
         self._seq = itertools.count()
         self._ticket_book = TicketBook()
+        #: set by shutdown() once accepted work is drained: stops the
+        #: autoscaler, and _lane_for() creates no lane after it
         self._stop_event = threading.Event()
-        self._scheduler = threading.Thread(
-            target=self._scheduler_loop, name=f"{name}-scheduler", daemon=True
-        )
-        self._scheduler.start()
         self._supervisor = threading.Thread(
             target=self._autoscale_loop, name=f"{name}-autoscaler", daemon=True
         )
@@ -611,7 +608,7 @@ class CompileService:
         pass_overrides: dict | None = None,
         trace: "Span | object | dict | None" = None,
     ) -> Future:
-        """Enqueue one compilation; the returned future resolves to its result.
+        """Schedule one compilation; the returned future resolves to its result.
 
         ``trace`` continues an existing trace: a :class:`~repro.obs.Span`,
         :class:`~repro.obs.SpanContext`, or ``{"trace_id", "span_id"}`` dict
@@ -633,11 +630,14 @@ class CompileService:
         alias base results in the shared cache or the coalescing map.
 
         Validation (unknown backend, unknown objective, negative deadline,
-        bad pass override) happens here, in the caller's thread, so bad
-        requests fail fast instead of poisoning the queue.  The future's
-        result is always a :class:`~repro.CompilationResult` — compilation
-        failures and deadline expiries are captured as ``succeeded=False``
-        results, which is what ``compile_batch`` collects.
+        bad pass override) raises here, before the request is accepted.
+        Scheduling then runs on this thread too: the cache lookup, the
+        expiry check, coalescing and the push onto the backend lane's
+        priority queue.  Once accepted, ``submit`` never raises: the
+        future's result is always a :class:`~repro.CompilationResult`, and
+        compilation failures, deadline expiries and scheduling errors are
+        captured as ``succeeded=False`` results, which is what
+        ``compile_batch`` collects.
         """
         if deadline is not None:
             deadline = float(deadline)
@@ -675,17 +675,17 @@ class CompileService:
             # Queue wait starts now; a lane worker closes it when it claims
             # the request (cache hits and expiries close it at _finish).
             request.queue_span = request.span.child("queue.wait")
-        # The closed-check and the enqueue share one critical section:
-        # shutdown() flips _closed under this lock *before* it drains the
-        # queue, so a request that passed the check is guaranteed to be
-        # visible to the drain loop — no future can slip through unresolved.
+        # Counted as unfinished in the same critical section as the closed
+        # check, so shutdown(drain=True) waits for a request accepted here.
         with self._lock:
             if self._closed:
                 raise RuntimeError(f"{self.name} is shut down")
             self._unfinished += 1
             self._metrics["submitted"] += 1
-            self._queue.put((request.sort_key(), request))
-        self._notify("queued", request)
+        try:
+            self._schedule(request)
+        except Exception as exc:  # noqa: BLE001 - an accepted request always resolves
+            self._finish(request, _request_failure(request, exc))
         return request.future
 
     def submit_many(
@@ -701,7 +701,7 @@ class CompileService:
         pass_overrides: dict | None = None,
         trace: "Span | object | dict | None" = None,
     ) -> list[Future]:
-        """Enqueue one request per circuit; futures come back in input order.
+        """Submit one request per circuit; futures come back in input order.
 
         ``trace`` (or the caller's ambient span) parents every request of the
         batch, so one trace tree shows the whole sweep fanning out.
@@ -726,40 +726,32 @@ class CompileService:
         ]
 
     def add_observer(self, observer) -> None:
-        """Subscribe to request lifecycle events.
+        """Subscribe to request starts.
 
-        ``observer(event, request, result)`` is called with ``event`` one of
-        ``"queued"`` (accepted into the scheduler queue), ``"started"`` (a
-        lane worker claimed the request) and ``"finished"`` (the future
-        resolved; ``result`` is the :class:`~repro.CompilationResult`,
-        including structured failures and deadline expiries — ``result`` is
-        ``None`` for the other events).  Cache hits and coalesced followers
-        jump straight from ``"queued"`` to ``"finished"``.
+        ``observer(request)`` is called when a lane worker claims a request
+        and is about to compile it.  Cache hits, expiries and coalesced
+        followers never start; the request's future reports how every
+        request ends.
 
-        Callbacks run on scheduler/worker threads: they must be fast and must
-        not call back into the service.  Exceptions are swallowed — a broken
+        Callbacks run on lane worker threads: they must be fast and must not
+        call back into the service.  Exceptions are swallowed — a broken
         observer must not kill a worker.  This is the progress seam the HTTP
         gateway's server-sent-events endpoint is built on.
         """
         with self._lock:
-            self._observers.append(observer)
+            self._observers = (*self._observers, observer)
 
     def remove_observer(self, observer) -> None:
         """Unsubscribe a previously added observer (no-op if absent)."""
         with self._lock:
-            try:
-                self._observers.remove(observer)
-            except ValueError:
-                pass
-
-    def _notify(self, event: str, request: CompileRequest, result=None) -> None:
-        with self._lock:
+            # Equality, not identity: a bound method is a new object on
+            # every attribute access, and the gateway passes one.
             observers = list(self._observers)
-        for observer in observers:
             try:
-                observer(event, request, result)
-            except Exception:  # noqa: BLE001 - observers must never hurt the service
-                pass
+                observers.remove(observer)
+            except ValueError:
+                return
+            self._observers = tuple(observers)
 
     def drain(self, timeout: float | None = None) -> bool:
         """Block until every submitted request has resolved.
@@ -789,28 +781,23 @@ class CompileService:
         if drain:
             self.drain(timeout=timeout)
         self._stop_event.set()
-        self._queue.put(((float("-inf"), -1), _STOP))
-        self._scheduler.join(timeout=10)
         self._supervisor.join(timeout=5)
         with self._lock:
+            # _lane_for() checks the stop event under this lock, so no lane
+            # can be registered behind this list and never stopped.
             lanes = list(self._lanes.values())
         for lane in lanes:
             lane.stop(wait=drain)
         # Fail any request that was still pending (drain=False teardown).
+        # A submit still scheduling now finds its lane stopped, or no lane,
+        # and resolves its own request.
         with self._lock:
             pending = [owner for owner, _ in self._inflight.values()]
-            followers = [req for _, reqs in self._inflight.values() for req in reqs]
+            pending += [req for _, reqs in self._inflight.values() for req in reqs]
             self._inflight.clear()
-        while True:
-            try:
-                _key, item = self._queue.get_nowait()
-            except queue_module.Empty:
-                break
-            if item is not _STOP:
-                pending.append(item)
         for lane in lanes:
             pending.extend(request for request, _key in lane.drain_pending())
-        for request in pending + followers:
+        for request in pending:
             if not request.future.done():
                 self._finish(
                     request,
@@ -864,10 +851,6 @@ class CompileService:
             trace=trace,
         )
         return self._ticket_book.issue(future)
-
-    def wait_result(self, ticket: str, timeout: float | None = None) -> CompilationResult:
-        """Block until the ticket's request resolves; the ticket is single-use."""
-        return self._ticket_book.wait(ticket, timeout)
 
     def poll_tickets(self, tickets, timeout: float = 0.5) -> dict:
         """Resolve any finished tickets among ``tickets`` in one bounded wait.
@@ -934,9 +917,7 @@ class CompileService:
             lanes = {name: lane.stats() for name, lane in self._lanes.items()}
             unfinished = self._unfinished
             scale_events = list(self._scale_events)
-        queue_depth = self._queue.qsize() + sum(
-            lane["queue_depth"] for lane in lanes.values()
-        )
+        queue_depth = sum(lane["queue_depth"] for lane in lanes.values())
         try:
             cache_stats = self.cache.stats()
         except Exception as exc:  # noqa: BLE001 - a dead cache server must not kill stats
@@ -964,20 +945,7 @@ class CompileService:
             "spans": span_histograms().snapshot(),
         }
 
-    # -- scheduler -------------------------------------------------------------------
-
-    def _scheduler_loop(self) -> None:
-        while True:
-            _key, item = self._queue.get()
-            if item is _STOP:
-                break
-            try:
-                self._schedule(item)
-            except Exception as exc:  # noqa: BLE001 - a bad request must not kill the loop
-                self._finish(
-                    item,
-                    _failure_result(item.circuit, item.backend.name, item.objective, exc),
-                )
+    # -- scheduling (on the submitting thread) ----------------------------------------
 
     def _schedule(self, request: CompileRequest) -> None:
         # The cache is consulted before the deadline: serving a hit occupies
@@ -1021,32 +989,31 @@ class CompileService:
                     # time will be the owner's shared lane.execute span,
                     # grafted at completion.
                     request.span.set(coalesced=True)
-                boost = (
-                    request.priority > owner.effective_priority
-                    and not owner.started
-                    and owner.lane is not None
-                )
-                if boost:
+                if request.priority > owner.effective_priority and not owner.started:
+                    # An owner still on its way to the lane enqueues at the
+                    # raised priority itself; a queued one gets a boosted copy.
                     owner.effective_priority = request.priority
-                    # The original entry becomes a stale duplicate once the
-                    # boosted copy (or it) is claimed: count one phantom.
-                    with owner.lane._lock:
-                        owner.lane.phantom += 1
-                    owner.lane.enqueue(owner, key, seq=next(self._seq))
+                    lane = owner.lane
+                    if lane is not None:
+                        # The original entry becomes a stale duplicate once the
+                        # boosted copy (or it) is claimed: count one phantom.
+                        with lane._lock:
+                            lane.phantom += 1
+                        lane.enqueue(owner, key, seq=next(self._seq))
                 return
             self._inflight[key] = (request, [])
         try:
             self._dispatch(request, key)
-        except Exception:
-            # Lane creation / submission failed: release the in-flight slot
-            # (no follower can have attached yet — only this thread appends)
-            # and let the scheduler loop turn the error into a failure result.
-            with self._lock:
-                self._inflight.pop(key, None)
+        except Exception as exc:
+            # Lane creation / submission failed.  Other submitting threads
+            # may have coalesced onto the entry since it was registered:
+            # they share the failure.  submit() resolves the owner.
+            for follower in self._release_inflight(request, key):
+                self._finish(follower, _request_failure(follower, exc))
             raise
 
     def _lane_for(self, backend: CompilerBackend) -> _Lane:
-        # Lane creation happens on the scheduler thread *and* (for coalesced
+        # Lanes are created on submitting threads *and* (for coalesced
         # retries) on lane worker threads, while stats() iterates the lane
         # map — every touch of self._lanes stays under the lock.
         with self._lock:
@@ -1062,28 +1029,34 @@ class CompileService:
                     f"backend {backend.name!r} cannot be pickled for its "
                     f"process lane ({exc}); remove it from process_backends"
                 ) from exc
-        max_workers = self._lane_workers.get(backend.name, self._max_workers)
-        min_workers = min(self._min_workers, max_workers)
-        lane = _Lane(self, backend.name, kind, min_workers, max_workers)
-        with self._lock:
-            # Another thread may have created the lane meanwhile: keep the
-            # registered one and drop ours.
-            existing = self._lanes.get(backend.name)
-            if existing is not None:
-                drop, lane = lane, existing
-            else:
-                self._lanes[backend.name] = lane
-                drop = None
-        if drop is not None:
-            drop.stop(wait=False)
+        # One builder at a time, so concurrent first submits for a cold
+        # backend share one lane instead of each starting (and then
+        # stopping) its own workers and pool.
+        with self._lane_build_lock:
+            with self._lock:
+                lane = self._lanes.get(backend.name)
+            if lane is not None:
+                return lane
+            max_workers = self._lane_workers.get(backend.name, self._max_workers)
+            min_workers = min(self._min_workers, max_workers)
+            lane = _Lane(self, backend.name, kind, min_workers, max_workers)
+            with self._lock:
+                # After shutdown has taken its list of lanes to stop,
+                # register none.
+                registered = not self._stop_event.is_set()
+                if registered:
+                    self._lanes[backend.name] = lane
+        if not registered:
+            lane.stop(wait=False)
+            raise RuntimeError(f"{self.name} is shut down")
         return lane
 
     def _dispatch(self, request: CompileRequest, key: tuple) -> None:
         lane = self._lane_for(request.backend)
         request.lane = lane
+        lane.enqueue(request, key)
         with self._lock:
             lane.dispatched += 1
-        lane.enqueue(request, key)
 
     # -- lane-worker side --------------------------------------------------------------
 
@@ -1112,7 +1085,11 @@ class CompileService:
                 "lane.execute", attrs={"lane": lane.backend_name, "kind": lane.kind}
             )
             request.execute_span = execute_span
-        self._notify("started", request)
+        for observer in self._observers:
+            try:
+                observer(request)
+            except Exception:  # noqa: BLE001 - observers must never hurt the service
+                pass
         task = (
             request.circuit,
             request.backend,
@@ -1251,7 +1228,6 @@ class CompileService:
                 self._metrics["failed"] += 1
             self._unfinished -= 1
             self._idle.notify_all()
-        self._notify("finished", request, result)
 
     # -- autoscaler --------------------------------------------------------------------
 

@@ -436,9 +436,17 @@ class TestBatchCompilation:
         assert "cannot be pickled" in failed.error
         assert batch.get(0, "qiskit-o0").succeeded
 
-    def test_default_sweep_leaves_no_service_running(self):
+    def test_default_sweep_leaves_no_service_running(self, monkeypatch):
         import threading
 
+        started: list[str] = []
+        start = threading.Thread.start
+
+        def recording_start(thread):
+            started.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recording_start)
         before = {thread.ident for thread in threading.enumerate()}
         batch = compile_batch(
             [benchmark_circuit("ghz", 3), benchmark_circuit("dj", 3)],
@@ -447,8 +455,11 @@ class TestBatchCompilation:
             max_workers=2,
         )
         assert not batch.failures
-        # The short-lived service was drained and its scheduler, supervisor
-        # and lane workers joined before compile_batch returned.
+        # The short-lived service was drained and its supervisor and lane
+        # workers joined before compile_batch returned; it never had a
+        # scheduler thread.
+        assert any(name.endswith("-autoscaler") for name in started)
+        assert [name for name in started if name.endswith("-scheduler")] == []
         leftover = [
             thread.name
             for thread in threading.enumerate()

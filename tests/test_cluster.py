@@ -383,13 +383,9 @@ class TestForwardingService:
             router = ForwardingService(local, {"peer": ServiceClient(peer)})
             local.set_draining(True)
 
-            # priority: observe the forwarded request arriving on the peer
+            # priority: observe the forwarded request starting on the peer
             seen: list[int] = []
-            peer.add_observer(
-                lambda event, request, result: seen.append(request.priority)
-                if event == "queued"
-                else None
-            )
+            peer.add_observer(lambda request: seen.append(request.priority))
             ctx = {"trace_id": "f" * 32, "span_id": "a" * 16}
             result = router.submit(
                 circuit, scripted_backend.name, priority=7, trace=ctx
@@ -517,10 +513,10 @@ class TestForwardingService:
         with CompileService(name="local") as local:
             router = ForwardingService(local)
             ticket = router.submit_request(circuit, "qiskit-o0")
-            result = router.wait_result(ticket, timeout=120)
-            assert result.succeeded
+            done = router.poll_tickets([ticket], timeout=120)
+            assert list(done) == [ticket] and done[ticket].succeeded
             with pytest.raises(KeyError):
-                router.wait_result(ticket)
+                router.poll_tickets([ticket])
             assert router.ping() == "local"
 
 

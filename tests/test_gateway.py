@@ -625,6 +625,21 @@ class TestKeepAlive:
         with pytest.raises(OSError):
             client.healthz()
 
+    def test_close_unsubscribes_from_the_service(self, service, ghz3, monkeypatch):
+        """A closed gateway is dropped from the service's observers, so later
+        requests neither reach it nor keep it alive."""
+        started: list = []
+        monkeypatch.setattr(
+            GatewayServer, "_on_request_started", lambda gw, request: started.append(gw)
+        )
+        gw = GatewayServer(service, sample_interval=0)
+        assert service.submit(ghz3, "qiskit-o0", seed=1).result(timeout=60).succeeded
+        assert started == [gw]
+        gw.close()
+        assert service._observers == ()
+        assert service.submit(ghz3, "qiskit-o0", seed=2).result(timeout=60).succeeded
+        assert started == [gw]
+
 
 class _RaisingService:
     """A service stand-in whose futures fail instead of holding a result."""

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from repro.api.batch import compile_batch
 from repro.bench import benchmark_circuit
 from repro.pipeline import CostAwareStore, DictStore, LruCache, TransformCache
 from repro.service import CacheServer, CompileService, ServiceClient, SharedCacheStore
+from repro.service.service import _Lane
 
 
 @pytest.fixture(scope="module")
@@ -351,6 +353,80 @@ class TestCompileService:
             assert not result.succeeded
             assert "pickle" in result.error
 
+    def test_follower_of_a_failed_dispatch_shares_the_failure(self, small_circuits):
+        """A request that coalesces onto an owner whose lane creation then
+        fails resolves with the owner's error instead of waiting forever."""
+        entered, release = threading.Event(), threading.Event()
+
+        class SlowUnpicklable:
+            name = "svc-slow-unpicklable"
+
+            def compile(self, circuit, *, device=None, objective="fidelity", seed=0):
+                raise AssertionError("never reached")
+
+            def __reduce__(self):
+                entered.set()
+                release.wait(timeout=60)
+                raise TypeError("cannot pickle")
+
+        backend = SlowUnpicklable()
+        service = CompileService(process_backends=(backend.name,))
+        try:
+            owner: list = []
+            submitter = threading.Thread(
+                target=lambda: owner.append(service.submit(small_circuits[0], backend))
+            )
+            submitter.start()
+            # The owner's submit is now blocked pickling the backend for its
+            # lane, with its in-flight entry registered.
+            assert entered.wait(timeout=30)
+            follower = service.submit(small_circuits[0], backend)
+            assert service.stats()["coalesced"] == 1
+            release.set()
+            submitter.join(timeout=30)
+            assert not submitter.is_alive()
+            results = [future.result(timeout=30) for future in (*owner, follower)]
+        finally:
+            release.set()
+            service.shutdown(drain=False)
+        assert len(results) == 2
+        for result in results:
+            assert not result.succeeded
+            assert "cannot be pickled" in result.error
+
+    def test_concurrent_first_submits_share_one_lane(self, small_circuits, monkeypatch):
+        """Threads racing to submit to a cold backend build its lane once."""
+        built: list[str] = []
+        original_init = _Lane.__init__
+
+        def slow_init(lane, service, backend_name, *args, **kwargs):
+            built.append(backend_name)
+            time.sleep(0.05)  # every racer reaches _lane_for while this runs
+            original_init(lane, service, backend_name, *args, **kwargs)
+
+        monkeypatch.setattr(_Lane, "__init__", slow_init)
+        n_threads = 6
+        barrier = threading.Barrier(n_threads)
+        futures: list = []
+
+        def submitter(seed: int) -> None:
+            barrier.wait(timeout=30)
+            futures.append(service.submit(small_circuits[0], "qiskit-o0", seed=seed))
+
+        with CompileService(max_workers=1) as service:
+            threads = [
+                threading.Thread(target=submitter, args=(seed,)) for seed in range(n_threads)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            results = [future.result(timeout=60) for future in futures]
+            lanes = service.stats()["lanes"]
+        assert len(results) == n_threads and all(r.succeeded for r in results)
+        assert built == ["qiskit-o0"]
+        assert lanes["qiskit-o0"]["dispatched"] == n_threads
+
     def test_shutdown_refuses_new_work_and_drains(self, small_circuits):
         service = CompileService()
         future = service.submit(small_circuits[0], "tket-o0", device="ibmq_washington")
@@ -452,10 +528,10 @@ class TestCompileService:
             ticket = service.submit_request(
                 small_circuits[0], "qiskit-o0", "ibmq_washington"
             )
-            result = service.wait_result(ticket, timeout=120)
-            assert result.succeeded
+            done = service.poll_tickets([ticket], timeout=120)
+            assert list(done) == [ticket] and done[ticket].succeeded
             with pytest.raises(KeyError):
-                service.wait_result(ticket)  # tickets are single-use
+                service.poll_tickets([ticket])  # tickets are single-use
             assert service.ping() == "compile-service"
 
 

@@ -11,6 +11,8 @@ asserts the invariants that matter:
   overtakes every queued low-priority one;
 * an expired deadline (``deadline=0`` is the extreme case) never reaches a
   worker — the backend is not called, no lane is even created;
+* ``shutdown(drain=False)`` racing live submitters leaves no accepted
+  future unresolved and no lane worker running;
 * the autoscaler's scale-up/scale-down events land in ``stats()``;
 * a killed process-lane worker costs one retry, not the lane.
 
@@ -21,8 +23,10 @@ Run it alone with ``pytest -m stress``.
 
 from __future__ import annotations
 
+import itertools
 import os
 import signal
+import sys
 import threading
 import time
 from concurrent.futures import Future
@@ -33,6 +37,7 @@ import pytest
 
 from repro.api.result import CompilationResult
 from repro.bench import benchmark_circuit
+from repro.pipeline import DictStore
 from repro.service import CompileService, DeadlineExceeded, ServiceClient, ServiceTimeout
 
 pytestmark = pytest.mark.stress
@@ -189,18 +194,9 @@ class TestStrictPriorityOrdering:
                 low_futures.append(future)
             high = service.submit(circuit, backend, seed=99, priority=10)
             high.add_done_callback(record(99))
-            # submit() only enqueues onto the scheduler queue; wait until the
-            # scheduler has moved all nine requests into the lane's priority
-            # queue before releasing the worker, or it could pop a low one
-            # that simply arrived first.
-            deadline = time.time() + 30
-            while time.time() < deadline:
-                lane = service.stats()["lanes"]["stress-gate"]
-                if lane["queue_depth"] >= self.N_LOW + 1:
-                    break
-                time.sleep(0.01)
-            else:
-                pytest.fail("scheduler never queued all nine requests")
+            # submit() schedules on this thread: all nine requests are in the
+            # lane's priority queue by the time it returns.
+            assert service.stats()["lanes"]["stress-gate"]["queue_depth"] == self.N_LOW + 1
             backend.release.set()
             for future in [blocker, high, *low_futures]:
                 assert future.result(timeout=60).succeeded
@@ -213,6 +209,76 @@ class TestStrictPriorityOrdering:
         assert set(completion_order[1:]) == set(range(1, self.N_LOW + 1))
         # Ties (all priority 0) ran in submission order.
         assert completion_order[1:] == sorted(completion_order[1:])
+
+
+class TestShutdownRace:
+    N_SUBMITTERS = 4
+    ROUNDS = 5
+
+    def test_shutdown_without_drain_while_submitting(self, circuit):
+        """4 threads submit while the main thread calls shutdown(drain=False):
+        every accepted future resolves, later submits are refused, and no lane
+        worker outlives the service."""
+
+        class SlowStore(DictStore):
+            # A slow cache lookup keeps submits scheduling while shutdown
+            # stops the lanes, so they reach a lane after it is stopped.
+            def get(self, key):
+                time.sleep(0.02)
+                return super().get(key)
+
+        before = {thread.ident for thread in threading.enumerate()}
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _round in range(self.ROUNDS):
+                service = CompileService(store=SlowStore(), max_workers=1)
+                accepted: list[list[Future]] = [[] for _ in range(self.N_SUBMITTERS)]
+                refused: list[BaseException] = []
+
+                def submitter(index: int) -> None:
+                    try:
+                        for n in itertools.count():
+                            # Odd submitters create a lane per submit, even
+                            # ones keep reusing theirs.
+                            name = f"race-{index}-{n}" if index % 2 else f"race-{index}"
+                            backend = RecordingBackend(name)
+                            accepted[index].append(service.submit(circuit, backend, seed=n))
+                    except BaseException as exc:  # noqa: BLE001 - checked below
+                        refused.append(exc)
+
+                threads = [
+                    threading.Thread(target=submitter, args=(i,))
+                    for i in range(self.N_SUBMITTERS)
+                ]
+                for thread in threads:
+                    thread.start()
+                deadline = time.monotonic() + 30
+                while min(len(futures) for futures in accepted) < 3:
+                    assert time.monotonic() < deadline, "submitters never got going"
+                    time.sleep(0.005)
+                service.shutdown(drain=False)
+                for thread in threads:
+                    thread.join(timeout=30)
+                    assert not thread.is_alive()
+                assert len(refused) == self.N_SUBMITTERS
+                assert all(
+                    isinstance(exc, RuntimeError) and "shut down" in str(exc)
+                    for exc in refused
+                )
+                for futures in accepted:
+                    for future in futures:
+                        assert isinstance(future.result(timeout=30), CompilationResult)
+                with pytest.raises(RuntimeError, match="shut down"):
+                    service.submit(circuit, RecordingBackend("race-late"))
+        finally:
+            sys.setswitchinterval(switch_interval)
+        leftover = [
+            thread.name
+            for thread in threading.enumerate()
+            if thread.ident not in before and thread.name.startswith("svc-")
+        ]
+        assert leftover == []
 
 
 class TestDeadlines:
