@@ -18,15 +18,25 @@ from dataclasses import dataclass, field, replace
 
 from ..circuit.circuit import QuantumCircuit
 from ..devices.device import Device
+from ..reward.functions import critical_depth_reward, expected_fidelity, mean_reward
 
 __all__ = ["CompilationResult", "score_circuit"]
 
 
 def score_circuit(circuit: QuantumCircuit, device: Device) -> dict[str, float]:
-    """Evaluate ``circuit`` on ``device`` under every registered reward function."""
-    from ..reward.functions import REWARD_FUNCTIONS
+    """Evaluate ``circuit`` on ``device`` under every registered reward function.
 
-    return {name: float(fn(circuit, device)) for name, fn in REWARD_FUNCTIONS.items()}
+    Keys follow ``REWARD_FUNCTIONS``.  Each part is computed once: the
+    combination is the mean of the fidelity and critical-depth scores
+    already in hand, not a second walk of the circuit.
+    """
+    fidelity = expected_fidelity(circuit, device)
+    depth = critical_depth_reward(circuit, device)
+    return {
+        "fidelity": float(fidelity),
+        "critical_depth": float(depth),
+        "combination": float(mean_reward(fidelity, depth)),
+    }
 
 
 @dataclass

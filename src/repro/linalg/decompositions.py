@@ -15,11 +15,13 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
-from ..circuit.gates import Gate, gate_matrix
+from ..circuit.gates import GATE_SPECS, Gate, gate_matrix
 from .unitaries import allclose_up_to_global_phase
 
 __all__ = [
@@ -27,6 +29,7 @@ __all__ = [
     "u3_angles",
     "zyz_angles",
     "synthesize_1q",
+    "native_1q_gates",
     "kron_factor",
     "WeylDecomposition",
     "weyl_decompose",
@@ -189,6 +192,38 @@ def _mod_2pi(angle: float) -> float:
 def _phase_between(target: np.ndarray, product: np.ndarray) -> float:
     idx = np.unravel_index(np.argmax(np.abs(product)), product.shape)
     return cmath.phase(target[idx] / product[idx])
+
+
+#: native gates of every parameterless single-qubit gate in every basis,
+#: keyed ``(gate name, basis)``.  The answer for such a gate never changes,
+#: so the translation passes look it up here instead of re-running (and
+#: re-verifying) the Euler synthesis for every ``h`` they meet.  Each entry
+#: is the verified ``synthesize_1q`` output on the gate's interned matrix,
+#: computed once at import; the values are tuples of frozen gates and the
+#: mapping is read-only.
+_FIXED_1Q_NATIVE: Mapping[tuple[str, str], tuple[Gate, ...]] = MappingProxyType(
+    {
+        (name, basis): synthesize_1q(gate_matrix(Gate(name)), basis).gates
+        for name, spec in GATE_SPECS.items()
+        if spec.num_qubits == 1 and spec.num_params == 0 and spec.matrix_fn is not None
+        for basis in ("rz_sx", "rz_rx", "rz_ry", "u3")
+    }
+)
+
+
+def native_1q_gates(gate: Gate, basis: str) -> tuple[Gate, ...]:
+    """The gates from ``basis`` that implement single-qubit ``gate``, up to global phase.
+
+    A parameterless gate is looked up in the fixed table; a gate with
+    parameters, or a basis the table does not hold, runs ``synthesize_1q``
+    (so an unknown basis raises its ``ValueError``).  Either way the result
+    equals ``synthesize_1q(gate_matrix(gate), basis).gates``; the global
+    phase is dropped.
+    """
+    native = _FIXED_1Q_NATIVE.get((gate.name, basis))
+    if native is not None:
+        return native
+    return synthesize_1q(gate_matrix(gate), basis).gates
 
 
 # ---------------------------------------------------------------------------

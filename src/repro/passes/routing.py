@@ -26,6 +26,7 @@ from ..circuit.circuit import QuantumCircuit
 from ..circuit.dag import DAGCircuit
 from ..circuit.gates import Gate, Instruction
 from ..devices.device import Device
+from ..linalg.decompositions import native_1q_gates
 from .base import PassContext
 from .registry import RoutingPass, register_pass
 from .synthesis import CX_CONVERSION_RULES
@@ -76,9 +77,6 @@ def _native_cx(control: int, target: int, device: Device) -> list[Instruction]:
 
 def _nativize_1q(circuit: QuantumCircuit, device: Device) -> QuantumCircuit:
     """Translate any non-native single-qubit gates into the device's 1q basis."""
-    from ..linalg.decompositions import synthesize_1q
-    from ..circuit.gates import gate_matrix
-
     out = QuantumCircuit(circuit.num_qubits, circuit.num_clbits, circuit.name)
     out.metadata = dict(circuit.metadata)
     for instr in circuit:
@@ -89,8 +87,10 @@ def _nativize_1q(circuit: QuantumCircuit, device: Device) -> QuantumCircuit:
         ):
             out._instructions.append(instr)
             continue
-        decomp = synthesize_1q(gate_matrix(instr.gate), device.gate_set.basis_1q)
-        out.extend(Instruction(gate, instr.qubits) for gate in decomp.gates)
+        out.extend(
+            Instruction(gate, instr.qubits)
+            for gate in native_1q_gates(instr.gate, device.gate_set.basis_1q)
+        )
     return out
 
 

@@ -9,8 +9,11 @@ the same name).  It works in three stages:
    exist, an exact Weyl-based synthesis as a fallback), and CX is then
    rewritten into the device's native entangling gate (CZ, ECR or RXX) using
    pre-computed local Clifford corrections;
-3. remaining single-qubit gates are fused and re-emitted in the device's
-   native 1q basis via the exact Euler decomposition.
+3. remaining non-native single-qubit gates are re-emitted in the device's
+   native 1q basis: a parameterless gate (``h``, ``s``, ``t``, ``sx``, ...)
+   takes its native gates from the fixed table that
+   :func:`~repro.linalg.decompositions.native_1q_gates` reads, built once at
+   import; a gate with parameters runs the exact Euler decomposition.
 
 Every rule used here is verified against gate matrices in the test-suite.
 """
@@ -24,7 +27,7 @@ import numpy as np
 from ..circuit.circuit import QuantumCircuit
 from ..circuit.gates import GATE_SPECS, Gate, Instruction, gate_inverse, gate_matrix
 from ..devices.device import NativeGateSet
-from ..linalg.decompositions import synthesize_1q, synthesize_2q, zyz_angles
+from ..linalg.decompositions import native_1q_gates, synthesize_2q, zyz_angles
 from .base import PassContext
 from .registry import SynthesisPass, register_pass
 
@@ -330,10 +333,11 @@ class BasisTranslator(SynthesisPass):
 
     @staticmethod
     def _translate_1q(instruction: Instruction, gate_set: NativeGateSet) -> list[Instruction]:
-        matrix = gate_matrix(instruction.gate)
-        decomp = synthesize_1q(matrix, gate_set.basis_1q)
         qubit = instruction.qubits[0]
-        return [Instruction(gate, (qubit,)) for gate in decomp.gates]
+        return [
+            Instruction(gate, (qubit,))
+            for gate in native_1q_gates(instruction.gate, gate_set.basis_1q)
+        ]
 
 
 register_pass(BasisTranslator.name, BasisTranslator, overwrite=True)

@@ -24,6 +24,7 @@ __all__ = [
     "expected_fidelity",
     "critical_depth_reward",
     "combined_reward",
+    "mean_reward",
     "reward_function",
     "REWARD_FUNCTIONS",
 ]
@@ -66,9 +67,14 @@ def critical_depth_reward(circuit: QuantumCircuit, device: Device | None = None)
     return max(0.0, min(1.0, 1.0 - critical_depth(circuit)))
 
 
+def mean_reward(fidelity: float, depth_reward: float) -> float:
+    """The combination reward from its two already computed parts."""
+    return 0.5 * (fidelity + depth_reward)
+
+
 def combined_reward(circuit: QuantumCircuit, device: Device) -> float:
     """Average of expected fidelity and the critical-depth reward."""
-    return 0.5 * (expected_fidelity(circuit, device) + critical_depth_reward(circuit, device))
+    return mean_reward(expected_fidelity(circuit, device), critical_depth_reward(circuit, device))
 
 
 REWARD_FUNCTIONS = {

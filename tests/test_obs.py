@@ -21,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.api.registry import get_backend
 from repro.api.result import CompilationResult
 from repro.bench import benchmark_circuit
 from repro.compilers.presets import preset_pass_manager, run_preset_manager
@@ -52,6 +53,22 @@ from repro.service import CacheServer, CompileService, ServiceClient
 @pytest.fixture(scope="module")
 def ghz4():
     return benchmark_circuit("ghz", 4)
+
+
+class _GatedBackend:
+    """Wraps a registered backend; its seed-999 compile waits until released."""
+
+    def __init__(self, inner: str):
+        self.inner = get_backend(inner)
+        self.name = f"gated-{inner}"
+        self.blocker_running = threading.Event()
+        self.release = threading.Event()
+
+    def compile(self, circuit, *, device=None, objective="fidelity", seed=0):
+        if seed == 999:
+            self.blocker_running.set()
+            assert self.release.wait(timeout=60), "gate never released"
+        return self.inner.compile(circuit, device=device, objective=objective, seed=seed)
 
 
 @pytest.fixture(autouse=True)
@@ -509,20 +526,22 @@ class TestServiceTracing:
         assert "lane.execute" not in span_names(tree)
 
     def test_coalesced_followers_share_the_execute_span(self, ghz4):
+        backend = _GatedBackend("qiskit-o1")
         with CompileService(max_workers=1) as service:
-            # Occupy the single worker so both identical requests are queued
-            # together and the second coalesces onto the first.
-            blocker = service.submit(
-                ghz4, "qiskit-o1", device="ibmq_washington", seed=999
-            )
+            # Hold the single worker on the gated blocker, so both identical
+            # requests are queued together and the second coalesces onto the
+            # first however long the submits take.
+            blocker = service.submit(ghz4, backend, device="ibmq_washington", seed=999)
+            assert backend.blocker_running.wait(timeout=60)
             owner_root = Span("owner.root")
             follower_root = Span("follower.root")
             owner = service.submit(
-                ghz4, "qiskit-o1", device="ibmq_washington", seed=41, trace=owner_root
+                ghz4, backend, device="ibmq_washington", seed=41, trace=owner_root
             )
             follower = service.submit(
-                ghz4, "qiskit-o1", device="ibmq_washington", seed=41, trace=follower_root
+                ghz4, backend, device="ibmq_washington", seed=41, trace=follower_root
             )
+            backend.release.set()
             blocker.result(timeout=120)
             owner_tree = owner.result(timeout=120).metadata["trace"]
             follower_tree = follower.result(timeout=120).metadata["trace"]

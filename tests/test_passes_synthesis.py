@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 from scipy.stats import unitary_group
 
 from repro.circuit import Gate, Instruction, QuantumCircuit, random_circuit
 from repro.circuit.gates import GATE_SPECS, gate_matrix
-from repro.devices import get_device, list_devices
-from repro.linalg import allclose_up_to_global_phase, circuit_unitary
-from repro.passes import BasisTranslator, PassContext, decompose_to_cx_basis
+from repro.devices import NativeGateSet, get_device, list_devices
+from repro.linalg import allclose_up_to_global_phase, circuit_unitary, decompositions
+from repro.linalg.decompositions import _FIXED_1Q_NATIVE, native_1q_gates, synthesize_1q
+from repro.passes import BasisTranslator, PassContext, SabreSwap, TrivialLayout, decompose_to_cx_basis
+from repro.passes.routing import _nativize_1q
 from repro.passes.synthesis import (
     CX_CONVERSION_RULES,
     _decompose_named_2q,
@@ -178,3 +183,122 @@ class TestBasisTranslator:
         out = BasisTranslator().run(circuit, PassContext(device=device))
         assert "rxx" in out.gate_names()
         assert device.gates_native(out)
+
+
+_FIXED_1Q = ("id", "x", "y", "z", "h", "s", "sdg", "t", "tdg", "sx", "sxdg")
+_BASES_1Q = ("rz_sx", "rz_rx", "rz_ry", "u3")
+#: one device of each gate set: IBM, Rigetti, IonQ, OQC
+_GATE_SET_DEVICES = ("ibmq_montreal", "rigetti_aspen_m2", "ionq_harmony", "oqc_lucy")
+
+
+def _fixed_gate_corpus(num_qubits: int = 4) -> QuantumCircuit:
+    """Every fixed 1q gate on every wire, a few parameterised gates and CXs."""
+    circuit = QuantumCircuit(num_qubits)
+    for layer in range(3):
+        for q in range(num_qubits):
+            for name in ("h", "s", "t", "sx", "x", _FIXED_1Q[(layer + q) % len(_FIXED_1Q)]):
+                circuit.append(Gate(name), (q,))
+            circuit.cx(q, (q + 1 + layer) % num_qubits)
+    circuit.rx(0.3, 0)
+    circuit.ry(0.7, 1)
+    circuit.p(0.2, 2)
+    circuit.u(0.1, 0.2, 0.3, 3)
+    circuit.rz(0.5, 0)
+    return circuit
+
+
+def _parameterised_non_native(circuit: QuantumCircuit, gate_set: NativeGateSet) -> int:
+    return sum(
+        1
+        for instr in circuit
+        if len(instr.qubits) == 1 and instr.params and not gate_set.is_native(instr.name)
+    )
+
+
+@pytest.fixture
+def synthesis_calls(monkeypatch):
+    """Count ``synthesize_1q`` runs, by basis, for the rest of the test."""
+    calls: list[str] = []
+    real = decompositions.synthesize_1q
+
+    def counting(matrix, basis="rz_sx"):
+        calls.append(basis)
+        return real(matrix, basis)
+
+    monkeypatch.setattr(decompositions, "synthesize_1q", counting)
+    return calls
+
+
+class TestFixedGateTable:
+    def test_table_holds_every_fixed_gate_in_every_basis(self):
+        assert set(_FIXED_1Q_NATIVE) == set(itertools.product(_FIXED_1Q, _BASES_1Q))
+
+    @pytest.mark.parametrize("basis", _BASES_1Q)
+    @pytest.mark.parametrize("name", _FIXED_1Q)
+    def test_entry_equals_the_synthesis_reference(self, name, basis):
+        gate = Gate(name)
+        reference = synthesize_1q(gate_matrix(gate), basis).gates
+        assert _FIXED_1Q_NATIVE[(name, basis)] == reference
+        assert native_1q_gates(gate, basis) == reference
+
+    def test_table_is_read_only(self):
+        with pytest.raises(TypeError):
+            _FIXED_1Q_NATIVE[("h", "rz_sx")] = ()
+
+    @pytest.mark.parametrize("basis", _BASES_1Q)
+    def test_parameterised_gates_are_synthesised(self, basis, synthesis_calls):
+        gate = Gate("u", (0.4, -1.1, 2.3))
+        # The reference runs the import-bound function, so only the helper's
+        # call is counted.
+        assert native_1q_gates(gate, basis) == synthesize_1q(gate_matrix(gate), basis).gates
+        assert synthesis_calls == [basis]
+
+    @pytest.mark.parametrize("device_name", _GATE_SET_DEVICES)
+    def test_translation_synthesises_only_parameterised_gates(
+        self, device_name, synthesis_calls
+    ):
+        device = get_device(device_name)
+        circuit = _fixed_gate_corpus()
+        out = BasisTranslator().run(circuit, PassContext(device=device))
+        assert synthesis_calls == [device.gate_set.basis_1q] * _parameterised_non_native(
+            circuit, device.gate_set
+        )
+        assert synthesis_calls  # the corpus does reach the synthesis fallback
+        assert device.gates_native(out)
+        assert allclose_up_to_global_phase(circuit_unitary(out), circuit_unitary(circuit))
+
+    @pytest.mark.parametrize("device_name", _GATE_SET_DEVICES)
+    def test_nativize_synthesises_only_parameterised_gates(self, device_name, synthesis_calls):
+        device = get_device(device_name)
+        circuit = _fixed_gate_corpus()
+        out = _nativize_1q(circuit, device)
+        assert len(synthesis_calls) == _parameterised_non_native(circuit, device.gate_set)
+        assert all(device.gate_set.is_native(i.name) for i in out if len(i.qubits) == 1)
+        assert allclose_up_to_global_phase(circuit_unitary(out), circuit_unitary(circuit))
+
+    @pytest.mark.parametrize("device_name", _GATE_SET_DEVICES)
+    def test_routing_synthesises_nothing_for_its_swap_corrections(
+        self, device_name, synthesis_calls
+    ):
+        # On the CZ and ECR devices the expanded SWAPs carry H/S corrections
+        # that _nativize_1q translates; the CX devices and IonQ's all-to-all
+        # coupling never reach it.
+        device = get_device(device_name)
+        context = PassContext(device=device, seed=3)
+        native = BasisTranslator().run(_fixed_gate_corpus(6), context)
+        placed = TrivialLayout().run(native, context)
+        synthesis_calls.clear()
+        routed = SabreSwap(seed=3).run(placed, context)
+        assert synthesis_calls == []
+        assert device.gates_native(routed)
+        assert device.mapping_satisfied(routed)
+
+    def test_unknown_basis_still_raises_on_translate(self):
+        base = get_device("ibmq_montreal")
+        device = dataclasses.replace(
+            base, gate_set=dataclasses.replace(base.gate_set, basis_1q="zxz")
+        )
+        circuit = QuantumCircuit(1)
+        circuit.h(0)
+        with pytest.raises(ValueError, match="unknown single-qubit basis 'zxz'"):
+            BasisTranslator().run(circuit, PassContext(device=device))

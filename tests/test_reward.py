@@ -2,17 +2,40 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
+from repro.api.result import score_circuit
+from repro.bench import benchmark_circuit
 from repro.circuit import QuantumCircuit
+from repro.compilers import preset_pass_manager, run_preset_manager
 from repro.devices import get_device
 from repro.reward import (
     REWARD_FUNCTIONS,
     combined_reward,
     critical_depth_reward,
     expected_fidelity,
+    functions,
     reward_function,
 )
+
+_GOLDEN_PATH = Path(__file__).parent / "golden" / "preset_traces.json"
+
+
+def _golden_outputs():
+    """The compiled circuit and device of every golden preset case."""
+    for case in json.loads(_GOLDEN_PATH.read_text()):
+        family, width = case["circuit"].rsplit("_", 1)
+        device = get_device(case["device"])
+        manager = preset_pass_manager(
+            case["style"], case["level"], iterate=case.get("iterate", False)
+        )
+        compiled, _ = run_preset_manager(
+            manager, benchmark_circuit(family, int(width)), device, seed=case["seed"]
+        )
+        yield compiled, device
 
 
 @pytest.fixture
@@ -135,3 +158,30 @@ class TestRegistry:
     def test_unknown_reward_raises(self):
         with pytest.raises(KeyError):
             reward_function("speed")
+
+
+class TestScoreCircuit:
+    def test_equals_every_reward_function_on_the_golden_corpus(self):
+        scored = 0
+        for compiled, device in _golden_outputs():
+            scores = score_circuit(compiled, device)
+            reference = {
+                name: float(fn(compiled, device)) for name, fn in REWARD_FUNCTIONS.items()
+            }
+            assert list(scores) == list(reference)
+            assert scores == reference
+            scored += 1
+        assert scored == len(json.loads(_GOLDEN_PATH.read_text()))
+
+    def test_walks_the_critical_path_once(self, native_chain, montreal, monkeypatch):
+        calls = []
+        real = functions.critical_depth
+
+        def counting(circuit):
+            calls.append(circuit)
+            return real(circuit)
+
+        monkeypatch.setattr(functions, "critical_depth", counting)
+        for expected_calls in (1, 2, 3):
+            score_circuit(native_chain, montreal)
+            assert len(calls) == expected_calls
