@@ -8,7 +8,7 @@ Starts an in-process :class:`repro.service.CompileService`, has three
 concurrent clients submit overlapping work, and prints the service metrics —
 the overlap is served by the shared cache and in-flight coalescing instead of
 being recompiled.  The second half shows the QoS surface (priorities,
-deadlines, autoscale events) and the server-backed shared cache: two
+deadlines, lane scale events) and the server-backed shared cache: two
 *separate* services (as two processes would) share compilation results
 through one :class:`repro.service.CacheServer`.
 
@@ -68,8 +68,8 @@ def main() -> None:
         print(f"  lanes: {stats['lanes']}")
         print(f"  cache: {stats['cache']}")
 
-    print("\n2. Quality of service — priorities, deadlines, autoscaling:")
-    with CompileService(max_workers=4, autoscale_interval=0.05) as service:
+    print("\n2. Quality of service — priorities, deadlines, lanes growing on submit:")
+    with CompileService(max_workers=4) as service:
         client = ServiceClient(service)
         batch = client.submit_many(
             circuits, backend="qiskit-o3", device="ibmq_washington", priority=0
@@ -92,7 +92,7 @@ def main() -> None:
         stats = service.stats()
         scaler = stats["autoscaler"]
         print(
-            f"  autoscaler: {scaler['scale_ups']} scale-ups, "
+            f"  lanes: {scaler['scale_ups']} scale-ups, "
             f"{scaler['scale_downs']} scale-downs, "
             f"{stats['deadline_exceeded']} deadline expiries"
         )

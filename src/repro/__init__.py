@@ -52,7 +52,7 @@ from .api import (
 )
 from .bench import available_benchmarks, benchmark_circuit, benchmark_suite
 from .circuit import Gate, Instruction, QuantumCircuit
-from .compilers import compile_qiskit_style, compile_tket_style, preset_pass_manager
+from .compilers import preset_pass_manager
 from .core import CompilationEnv, Predictor
 from .devices import Device, get_device, list_devices
 from .passes import (
@@ -143,8 +143,6 @@ __all__ = [
     "AsyncVectorEnv",
     "make_compilation_vec_env",
     # removed shims kept as pointed errors (use repro.compile with a backend name)
-    "compile_qiskit_style",
-    "compile_tket_style",
     "expected_fidelity",
     "critical_depth_reward",
     "combined_reward",

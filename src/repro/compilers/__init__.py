@@ -14,8 +14,6 @@ from .presets import (
     TKET_LEVELS,
     StageSpec,
     apply_stage_overrides,
-    compile_qiskit_style,
-    compile_tket_style,
     iterate_stage,
     preset_pass_manager,
     qiskit_pipeline,
@@ -28,8 +26,6 @@ __all__ = [
     "TKET_LEVELS",
     "StageSpec",
     "apply_stage_overrides",
-    "compile_qiskit_style",
-    "compile_tket_style",
     "iterate_stage",
     "preset_pass_manager",
     "qiskit_pipeline",

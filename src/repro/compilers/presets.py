@@ -43,8 +43,6 @@ __all__ = [
     "TKET_LEVELS",
     "StageSpec",
     "apply_stage_overrides",
-    "compile_qiskit_style",
-    "compile_tket_style",
     "iterate_stage",
     "preset_pass_manager",
     "qiskit_pipeline",
@@ -433,22 +431,3 @@ def tket_pipeline(
         raise ValueError("TKET-style optimization level must be between 0 and 2")
     return _run_preset("tket", circuit, device, optimization_level, seed, cache)
 
-
-def compile_qiskit_style(*args, **kwargs):
-    """Removed. Use ``repro.compile(circuit, backend="qiskit-o<level>", device=...)``."""
-    raise RuntimeError(
-        "compile_qiskit_style was removed; use "
-        'repro.compile(circuit, backend="qiskit-o<level>", device=device) for the '
-        "unified CompilationResult, or qiskit_pipeline(circuit, device, level, seed) "
-        "for the raw (circuit, trace) pair"
-    )
-
-
-def compile_tket_style(*args, **kwargs):
-    """Removed. Use ``repro.compile(circuit, backend="tket-o<level>", device=...)``."""
-    raise RuntimeError(
-        "compile_tket_style was removed; use "
-        'repro.compile(circuit, backend="tket-o<level>", device=device) for the '
-        "unified CompilationResult, or tket_pipeline(circuit, device, level, seed) "
-        "for the raw (circuit, trace) pair"
-    )

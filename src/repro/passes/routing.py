@@ -29,13 +29,19 @@ from ..devices.device import Device
 from ..linalg.decompositions import native_1q_gates
 from .base import PassContext
 from .registry import RoutingPass, register_pass
-from .synthesis import CX_CONVERSION_RULES
+from .synthesis import _cx_to_native
 
 __all__ = ["BasicSwap", "StochasticSwap", "SabreSwap", "TketRouting", "expand_swaps"]
 
 
 def expand_swaps(circuit: QuantumCircuit, device: Device) -> QuantumCircuit:
-    """Replace SWAP gates with the device's native realisation (3 entangling gates)."""
+    """Replace SWAP gates with the device's native realisation (3 entangling gates).
+
+    Each SWAP becomes three CXs rewritten by the same rules as
+    :class:`~repro.passes.synthesis.BasisTranslator`; their single-qubit
+    corrections may be non-native (H on IBM) and are left to the 1q passes.
+    A device whose entangling gates have no CX rule raises ``ValueError``.
+    """
     if "swap" in device.gate_set.two_qubit:
         return circuit
     out = QuantumCircuit(circuit.num_qubits, circuit.num_clbits, circuit.name)
@@ -46,33 +52,10 @@ def expand_swaps(circuit: QuantumCircuit, device: Device) -> QuantumCircuit:
             continue
         a, b = instr.qubits
         for control, target in ((a, b), (b, a), (a, b)):
-            out.extend(_native_cx(control, target, device))
+            out.extend(
+                _cx_to_native(Instruction(Gate("cx"), (control, target)), device.gate_set)
+            )
     return out
-
-
-def _native_cx(control: int, target: int, device: Device) -> list[Instruction]:
-    """A CX on (control, target) expressed in the device's native gates."""
-    gate_set = device.gate_set
-    if "cx" in gate_set.two_qubit:
-        return [Instruction(Gate("cx"), (control, target))]
-    for native in gate_set.two_qubit:
-        if native not in CX_CONVERSION_RULES:
-            continue
-        rule = CX_CONVERSION_RULES[native]
-        qubit_of = {"control": control, "target": target}
-        ops = [Instruction(Gate(name), (qubit_of[role],)) for name, role in rule["pre"]]
-        if native == "rxx":
-            ops.append(Instruction(Gate("rxx", (np.pi / 2,)), (control, target)))
-        else:
-            ops.append(Instruction(Gate(native), (control, target)))
-        ops.extend(
-            Instruction(Gate(name), (qubit_of[role],)) for name, role in rule["post"]
-        )
-        # Single-qubit corrections may not be native (e.g. H on IBM); leave them —
-        # they are handled by the 1q optimisation / synthesis passes, and the
-        # routers re-run a light 1q translation afterwards if required.
-        return ops
-    return [Instruction(Gate("cx"), (control, target))]
 
 
 def _nativize_1q(circuit: QuantumCircuit, device: Device) -> QuantumCircuit:

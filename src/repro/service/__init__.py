@@ -7,10 +7,10 @@ runs every sweep on:
 * :class:`CompileService` — QoS scheduling on the submitting thread
   (per-request ``priority`` and ``deadline``; expired requests resolve to
   structured :class:`DeadlineExceeded` failure results without occupying a
-  worker), autoscaled per-backend priority lanes (thread lanes for
-  in-process backends, process lanes for the ``process_backends``), request
-  coalescing, and
-  hit/miss/queue-depth/autoscale counters plus the span histograms
+  worker), per-backend priority lanes that grow on submit and shed idle
+  workers on their own (thread lanes for in-process backends, process lanes
+  for the ``process_backends``), request coalescing, and
+  hit/miss/queue-depth/scale counters plus the span histograms
   (request latency is the ``service.request`` row) via
   :meth:`CompileService.stats`.
 * :class:`CacheServer` / :class:`SharedCacheStore` — a cache server process

@@ -121,21 +121,15 @@ def _build_parser() -> argparse.ArgumentParser:
         "--max-workers",
         type=int,
         default=2,
-        help="upper worker bound per backend lane (the autoscaler grows lanes "
-        "toward it under load)",
+        help="upper worker bound per backend lane (a submit that finds more "
+        "requests queued than idle workers grows its lane toward it)",
     )
     parser.add_argument(
         "--min-workers",
         type=int,
         default=1,
-        help="lower worker bound per backend lane (idle lanes shrink back to it; "
-        "equal to --max-workers pins every lane at that size)",
-    )
-    parser.add_argument(
-        "--autoscale-interval",
-        type=float,
-        default=0.25,
-        help="seconds between lane-supervisor sweeps",
+        help="lower worker bound per backend lane (surplus workers retire once "
+        "idle; equal to --max-workers pins every lane at that size)",
     )
     parser.add_argument(
         "--process-backends",
@@ -304,7 +298,6 @@ def main(argv: list[str] | None = None) -> int:
         process_backends=process_backends,
         max_workers=args.max_workers,
         min_workers=args.min_workers,
-        autoscale_interval=args.autoscale_interval,
         cache_size=args.cache_size,
     )
     served = service

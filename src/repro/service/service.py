@@ -1,4 +1,4 @@
-"""The compile server: QoS lane queues, autoscaled worker lanes, shared cache.
+"""The compile server: QoS lane queues, self-sizing worker lanes, shared cache.
 
 A *service* accepts requests from many concurrent clients, keeps its pools
 warm between them, and shares one result cache across everything it
@@ -15,13 +15,16 @@ on one (short-lived unless the caller passes its own).
   the request onto its backend lane's priority queue — the only queue a
   request ever waits in.  A slow cache lookup therefore delays only the
   request it is for.
-* **Autoscaled per-backend lanes** — each backend gets its own lane: a
+* **Self-sizing per-backend lanes** — each backend gets its own lane: a
   priority queue drained by worker threads, so a slow backend (``best-of``,
   an RL predictor) cannot starve the cheap preset lanes and a high-priority
   request overtakes queued low-priority ones even inside a saturated lane.
-  A supervisor watches queue depth and busy workers and grows/shrinks each
-  lane between ``min_workers`` and ``max_workers``; scale events are
-  surfaced in ``stats()["autoscaler"]``.  In-process backends compile on the
+  No thread watches the lanes: a submit that leaves more requests queued
+  than idle workers starts one more worker (up to ``max_workers``), and a
+  worker above ``min_workers`` whose wait for work stays empty for
+  ``_Lane.IDLE_RETIRE_S`` retires; a worker at ``min_workers`` blocks with
+  no timeout, so an idle service never wakes.  Scale events are surfaced in
+  ``stats()["autoscaler"]``.  In-process backends compile on the
   worker thread; backends listed in ``process_backends`` are forwarded to a
   per-lane ``ProcessPoolExecutor``.  A pool broken by a dead worker process
   is replaced and the request retried once, so it costs a retry, not the
@@ -35,7 +38,7 @@ on one (short-lived unless the caller passes its own).
   resident and evicts cheap-to-recompute entries first.
 * **Metrics** — ``stats()`` reports queue depth, in-flight count,
   hit/miss/eviction counters, coalescing, deadline expiries, per-lane worker
-  and dispatch counts and autoscale events.  Request latency, submit to
+  and dispatch counts and scale events.  Request latency, submit to
   resolution, goes to the one timing sink as the ``service.request`` row of
   ``stats()["spans"]``.
 
@@ -46,6 +49,7 @@ with identical priority/deadline semantics.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import pickle
 import threading
@@ -325,14 +329,15 @@ class _Lane:
 
     Workers pull ``(request, key)`` entries in priority order and compile
     in-thread (``kind="thread"``) or forward the payload to the shared
-    ``ProcessPoolExecutor`` (``kind="process"``).  The lane scales between
-    ``min_workers`` and ``max_workers``: :meth:`set_target` spawns workers
-    immediately, while surplus workers retire themselves the next time they
-    poll an empty queue.
+    ``ProcessPoolExecutor`` (``kind="process"``).  The lane sizes itself
+    between ``min_workers`` and ``max_workers`` with no supervisor:
+    :meth:`enqueue` starts a worker when the backlog exceeds the idle
+    workers, and a surplus worker retires once its own wait for work has
+    stayed empty for :attr:`IDLE_RETIRE_S`.
     """
 
-    #: seconds an idle worker waits for work before re-checking its target
-    POLL_INTERVAL = 0.05
+    #: seconds a worker above ``min_workers`` waits for work before retiring
+    IDLE_RETIRE_S = 0.5
 
     def __init__(
         self,
@@ -350,14 +355,12 @@ class _Lane:
         self.queue: queue_module.PriorityQueue = queue_module.PriorityQueue()
         self.dispatched = 0
         self.busy = 0
-        self.idle_ticks = 0
         #: queue entries that are stale boost duplicates, not real work —
-        #: subtracted from the reported queue depth so stats() and the
-        #: autoscaler's backlog signal count each request once
+        #: subtracted from the queue depth so stats() and the growth check
+        #: count each request once
         self.phantom = 0
         self._lock = threading.Lock()
         self._alive = 0
-        self._target = 0
         self._stopping = False
         self._threads: list[threading.Thread] = []
         self._stop_seq = itertools.count(1)
@@ -365,46 +368,47 @@ class _Lane:
             ProcessPoolExecutor(max_workers=max_workers) if kind == "process" else None
         )
         self.pool_restarts = 0
-        self.set_target(min_workers)
+        with self._lock:
+            for _ in range(min_workers):
+                self._spawn()
 
     # -- worker management -------------------------------------------------------------
 
-    def set_target(self, workers: int) -> int:
-        """Adjust the desired worker count (clamped to the lane's bounds).
+    def _spawn(self) -> None:
+        """Start one worker (caller holds the lane lock)."""
+        self._alive += 1
+        # Retired workers leave their Thread objects behind: prune them so
+        # grow/retire cycles on a long-lived service don't accumulate forever.
+        self._threads = [t for t in self._threads if t.is_alive()]
+        thread = threading.Thread(
+            target=self._worker_loop,
+            name=f"svc-{self.backend_name}-{len(self._threads)}",
+            daemon=True,
+        )
+        self._threads.append(thread)
+        thread.start()
 
-        Scaling up spawns threads immediately; scaling down lets surplus
-        workers retire on their next idle poll, so a busy lane never loses a
-        worker mid-compilation.  Returns the clamped target.
-        """
-        with self._lock:
-            workers = max(self.min_workers, min(self.max_workers, workers))
-            self._target = workers
-            # Retired workers leave their Thread objects behind: prune them so
-            # up/down cycles on a long-lived service don't accumulate forever.
-            self._threads = [t for t in self._threads if t.is_alive()]
-            while self._alive < workers and not self._stopping:
-                self._alive += 1
-                thread = threading.Thread(
-                    target=self._worker_loop,
-                    name=f"svc-{self.backend_name}-{len(self._threads)}",
-                    daemon=True,
-                )
-                self._threads.append(thread)
-                thread.start()
-            return workers
-
-    def counts(self) -> tuple[int, int, int]:
-        """``(alive, busy, target)`` under the lane lock."""
-        with self._lock:
-            return self._alive, self.busy, self._target
+    def _depth(self) -> int:
+        """Real pending requests (caller holds the lane lock)."""
+        return max(0, self.queue.qsize() - self.phantom)
 
     def _worker_loop(self) -> None:
         while True:
+            with self._lock:
+                # A worker at min_workers blocks until work or a stop token
+                # arrives; only a surplus worker's wait can time out.
+                surplus = self._alive > self.min_workers
             try:
-                _key, item = self.queue.get(timeout=self.POLL_INTERVAL)
+                _key, item = self.queue.get(timeout=self.IDLE_RETIRE_S if surplus else None)
             except queue_module.Empty:
                 with self._lock:
-                    if self._stopping or self._alive > self._target:
+                    # enqueue() puts under this lock, so a request that
+                    # arrived since the wait ended is seen here and keeps
+                    # the worker; one that arrives later sees it gone.
+                    if self._alive > self.min_workers and self._depth() == 0:
+                        self.service._note_scale(
+                            self, "scale_down", self._alive, self._alive - 1, 0
+                        )
                         self._alive -= 1
                         return
                 continue
@@ -450,12 +454,19 @@ class _Lane:
         broken.shutdown(wait=False)
 
     def enqueue(self, request: CompileRequest, key: tuple, *, seq: int | None = None) -> None:
+        """Queue one entry, growing the lane by a worker if the backlog needs it."""
         # The put shares the lane lock with stop()'s flag flip, so an entry
         # is either visible to drain_pending() or refused — never orphaned.
         with self._lock:
             if self._stopping:
                 raise RuntimeError(f"lane {self.backend_name!r} is stopped")
             self.queue.put((request.sort_key(seq), (request, key)))
+            depth = self._depth()
+            if depth > self._alive - self.busy and self._alive < self.max_workers:
+                self.service._note_scale(
+                    self, "scale_up", self._alive, self._alive + 1, depth
+                )
+                self._spawn()
 
     def stop(self, *, wait: bool) -> None:
         """Retire every worker (stop tokens jump the queue) and close the pool."""
@@ -486,21 +497,16 @@ class _Lane:
             if not request.started and not request.future.done():
                 pending.append((request, key))
 
-    def queue_depth(self) -> int:
-        """Real pending requests: raw queue size minus stale boost duplicates."""
-        with self._lock:
-            return max(0, self.queue.qsize() - self.phantom)
-
     def stats(self) -> dict:
-        alive, busy, target = self.counts()
+        with self._lock:
+            alive, busy, depth = self._alive, self.busy, self._depth()
         return {
             "kind": self.kind,
             "min_workers": self.min_workers,
             "max_workers": self.max_workers,
             "workers": alive,
-            "target": target,
             "busy": busy,
-            "queue_depth": self.queue_depth(),
+            "queue_depth": depth,
             "dispatched": self.dispatched,
             "pool_restarts": self.pool_restarts,
         }
@@ -522,20 +528,17 @@ class CompileService:
         (the backend must be picklable; validated when the lane is created).
         Everything else compiles on the lane's worker threads.
     min_workers / max_workers:
-        Per-lane worker bounds.  Lanes start at ``min_workers``; the
-        autoscaler grows them toward ``max_workers`` under queue pressure and
-        shrinks them back when idle.  ``min_workers=max_workers`` pins every
-        lane at a fixed size.  ``lane_workers`` overrides the *upper* bound
-        per backend name.
-    autoscale_interval:
-        Seconds between supervisor sweeps.
+        Per-lane worker bounds.  Lanes start at ``min_workers``; a submit
+        that finds more requests queued than idle workers grows its lane by
+        one toward ``max_workers``, and a surplus worker left idle for
+        ``_Lane.IDLE_RETIRE_S`` retires.  ``min_workers=max_workers`` pins
+        every lane at a fixed size.  ``lane_workers`` overrides the *upper*
+        bound per backend name.
     cache_size:
         Capacity of the service cache when ``store`` is not given.
     """
 
-    #: idle supervisor sweeps before a lane is shrunk by one worker
-    SCALE_DOWN_AFTER = 2
-    #: bounded history of autoscale events surfaced in ``stats()``
+    #: bounded history of lane scale events surfaced in ``stats()``
     MAX_SCALE_EVENTS = 256
 
     def __init__(
@@ -546,7 +549,6 @@ class CompileService:
         max_workers: int = 2,
         min_workers: int = 1,
         lane_workers: dict | None = None,
-        autoscale_interval: float = 0.25,
         cache_size: int = 4096,
         name: str = "compile-service",
     ):
@@ -561,7 +563,6 @@ class CompileService:
         self._max_workers = max(1, max_workers)
         self._min_workers = max(1, min(min_workers, self._max_workers))
         self._lane_workers = dict(lane_workers or {})
-        self.autoscale_interval = autoscale_interval
         self._lanes: dict[str, _Lane] = {}
         self._inflight: dict[tuple, tuple[CompileRequest, list[CompileRequest]]] = {}
         self._lock = threading.Lock()
@@ -576,22 +577,23 @@ class CompileService:
             "cache_hits": 0,
             "coalesced": 0,
             "deadline_exceeded": 0,
-            "scale_ups": 0,
-            "scale_downs": 0,
         }
-        self._scale_events: list[dict] = []
+        #: set by shutdown() once it has taken its list of lanes to stop:
+        #: _lane_for() registers no lane after it
+        self._lanes_closed = False
+        #: scale counters and the bounded event history, written by lanes
+        #: while they hold their own lock (a leaf lock: nothing is acquired
+        #: while it is held)
+        self._scale_lock = threading.Lock()
+        self._scale_counts = {"scale_up": 0, "scale_down": 0}
+        self._scale_events: collections.deque = collections.deque(
+            maxlen=self.MAX_SCALE_EVENTS
+        )
         #: copy-on-write tuple, so a lane worker iterates it without the lock
         self._observers: tuple = ()
         self._draining = False
         self._seq = itertools.count()
         self._ticket_book = TicketBook()
-        #: set by shutdown() once accepted work is drained: stops the
-        #: autoscaler, and _lane_for() creates no lane after it
-        self._stop_event = threading.Event()
-        self._supervisor = threading.Thread(
-            target=self._autoscale_loop, name=f"{name}-autoscaler", daemon=True
-        )
-        self._supervisor.start()
 
     # -- client API ------------------------------------------------------------------
 
@@ -780,11 +782,10 @@ class CompileService:
             self._closed = True
         if drain:
             self.drain(timeout=timeout)
-        self._stop_event.set()
-        self._supervisor.join(timeout=5)
         with self._lock:
-            # _lane_for() checks the stop event under this lock, so no lane
-            # can be registered behind this list and never stopped.
+            # _lane_for() checks the flag under this lock, so no lane can be
+            # registered behind this list and never stopped.
+            self._lanes_closed = True
             lanes = list(self._lanes.values())
         for lane in lanes:
             lane.stop(wait=drain)
@@ -910,12 +911,14 @@ class CompileService:
     # -- metrics ---------------------------------------------------------------------
 
     def stats(self) -> dict:
-        """Queue/cache/lane/autoscaler counters and the span histograms, for monitoring."""
+        """Queue/cache/lane/scale counters and the span histograms, for monitoring."""
         with self._lock:
             metrics = dict(self._metrics)
             in_flight = len(self._inflight)
             lanes = {name: lane.stats() for name, lane in self._lanes.items()}
             unfinished = self._unfinished
+        with self._scale_lock:
+            scale_counts = dict(self._scale_counts)
             scale_events = list(self._scale_events)
         queue_depth = sum(lane["queue_depth"] for lane in lanes.values())
         try:
@@ -935,9 +938,8 @@ class CompileService:
             "unfinished": unfinished,
             "lanes": lanes,
             "autoscaler": {
-                "interval_seconds": self.autoscale_interval,
-                "scale_ups": metrics["scale_ups"],
-                "scale_downs": metrics["scale_downs"],
+                "scale_ups": scale_counts["scale_up"],
+                "scale_downs": scale_counts["scale_down"],
                 "events": scale_events,
             },
             "cache": cache_stats,
@@ -1043,7 +1045,7 @@ class CompileService:
             with self._lock:
                 # After shutdown has taken its list of lanes to stop,
                 # register none.
-                registered = not self._stop_event.is_set()
+                registered = not self._lanes_closed
                 if registered:
                     self._lanes[backend.name] = lane
         if not registered:
@@ -1229,71 +1231,22 @@ class CompileService:
             self._unfinished -= 1
             self._idle.notify_all()
 
-    # -- autoscaler --------------------------------------------------------------------
+    # -- lane sizing -----------------------------------------------------------------
 
-    def _autoscale_loop(self) -> None:
-        while not self._stop_event.wait(self.autoscale_interval):
-            try:
-                self.autoscale_once()
-            except Exception:  # pragma: no cover - supervisor must never die
-                pass
-
-    def autoscale_once(self) -> list[dict]:
-        """One supervisor sweep over every lane; returns the emitted scale events.
-
-        Grows a lane when requests are queued and capacity remains; shrinks it
-        after :data:`SCALE_DOWN_AFTER` consecutive idle sweeps.  Public so
-        operators (and the stress suite) can force a deterministic sweep.
-        """
-        events: list[dict] = []
-        with self._lock:
-            lanes = list(self._lanes.values())
-        now = perf_counter()
-        for lane in lanes:
-            depth = lane.queue_depth()
-            alive, busy, target = lane.counts()
-            if depth > 0 and target < lane.max_workers:
-                lane.idle_ticks = 0
-                # Grow proportionally to the backlog, one worker minimum.
-                new = lane.set_target(target + max(1, depth // 4))
-                if new > target:
-                    events.append(
-                        {
-                            "lane": lane.backend_name,
-                            "event": "scale_up",
-                            "from_workers": target,
-                            "to_workers": new,
-                            "queue_depth": depth,
-                            "time": now,
-                        }
-                    )
-            elif depth == 0 and busy == 0 and target > lane.min_workers:
-                lane.idle_ticks += 1
-                if lane.idle_ticks >= self.SCALE_DOWN_AFTER:
-                    lane.idle_ticks = 0
-                    new = lane.set_target(target - 1)
-                    if new < target:
-                        events.append(
-                            {
-                                "lane": lane.backend_name,
-                                "event": "scale_down",
-                                "from_workers": target,
-                                "to_workers": new,
-                                "queue_depth": depth,
-                                "time": now,
-                            }
-                        )
-            else:
-                lane.idle_ticks = 0
-        if events:
-            with self._lock:
-                for event in events:
-                    self._metrics[
-                        "scale_ups" if event["event"] == "scale_up" else "scale_downs"
-                    ] += 1
-                self._scale_events.extend(events)
-                del self._scale_events[: -self.MAX_SCALE_EVENTS]
-        return events
+    def _note_scale(self, lane: _Lane, event: str, before: int, after: int, depth: int) -> None:
+        """Count one lane's ``scale_up``/``scale_down`` and keep it in the history."""
+        with self._scale_lock:
+            self._scale_counts[event] += 1
+            self._scale_events.append(
+                {
+                    "lane": lane.backend_name,
+                    "event": event,
+                    "from_workers": before,
+                    "to_workers": after,
+                    "queue_depth": depth,
+                    "time": perf_counter(),
+                }
+            )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "closed" if self._closed else "open"

@@ -9,8 +9,6 @@ import pytest
 
 from repro.bench import benchmark_circuit
 from repro.compilers import (
-    compile_qiskit_style,
-    compile_tket_style,
     preset_pass_manager,
     qiskit_pipeline,
     run_preset_manager,
@@ -81,18 +79,6 @@ class TestTketStylePresets:
         _, trace = tket_pipeline(benchmark_circuit("ghz", 4), washington, optimization_level=2)
         assert "full_peephole_optimise" in trace
         assert "tket_routing" in trace
-
-
-class TestRemovedShims:
-    """The pre-facade entry points are gone; the stubs must name the replacement."""
-
-    def test_compile_qiskit_style_raises_pointed_error(self, washington):
-        with pytest.raises(RuntimeError, match=r"repro\.compile.*qiskit-o<level>"):
-            compile_qiskit_style(benchmark_circuit("ghz", 3), washington)
-
-    def test_compile_tket_style_raises_pointed_error(self, washington):
-        with pytest.raises(RuntimeError, match=r"repro\.compile.*tket-o<level>"):
-            compile_tket_style(benchmark_circuit("ghz", 3), washington)
 
 
 def _golden_cases() -> list[dict]:

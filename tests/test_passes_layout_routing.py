@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.bench import benchmark_circuit
 from repro.circuit import QuantumCircuit, random_circuit
 from repro.devices import get_device
+from repro.devices.device import NativeGateSet
 from repro.linalg import allclose_up_to_global_phase, circuit_unitary
 from repro.passes import (
     BasicSwap,
@@ -21,6 +24,7 @@ from repro.passes import (
     TrivialLayout,
     apply_layout,
 )
+from repro.passes.routing import expand_swaps
 
 _LAYOUTS = [TrivialLayout, DenseLayout, SabreLayout]
 _ROUTERS = [BasicSwap, StochasticSwap, SabreSwap, TketRouting]
@@ -170,6 +174,16 @@ class TestRouting:
         routed = SabreSwap().run(placed, context)
         assert device.gates_native(routed)
         assert device.mapping_satisfied(routed)
+
+    def test_expand_swaps_without_cx_rule_raises(self):
+        """SWAP expansion shares BasisTranslator's CX rules, and its error."""
+        device = dataclasses.replace(
+            get_device("oqc_lucy"), gate_set=NativeGateSet(("rz", "sx", "x"), ("iswap",))
+        )
+        circuit = QuantumCircuit(2)
+        circuit.swap(0, 1)
+        with pytest.raises(ValueError, match="no CX conversion rule"):
+            expand_swaps(circuit, device)
 
     def test_measurements_are_remapped(self, line5_device):
         circuit = QuantumCircuit(3)
