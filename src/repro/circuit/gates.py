@@ -416,15 +416,18 @@ class Gate:
     params: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
+        # Hot: runs for every gate every pass builds.  Branch on len(), never
+        # on truthiness: a numpy array is a valid ``params``.
         spec = GATE_SPECS.get(self.name)
         if spec is None:
             raise ValueError(f"unknown gate type: {self.name!r}")
-        if spec.name != "barrier" and len(self.params) != spec.num_params:
+        num_params = len(self.params)
+        if num_params != spec.num_params and spec.name != "barrier":
             raise ValueError(
                 f"gate {self.name!r} expects {spec.num_params} parameters, "
-                f"got {len(self.params)}"
+                f"got {num_params}"
             )
-        object.__setattr__(self, "params", tuple(float(p) for p in self.params))
+        object.__setattr__(self, "params", tuple(map(float, self.params)))
 
     @property
     def spec(self) -> GateSpec:
@@ -462,16 +465,20 @@ class Instruction:
     clbits: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
-        object.__setattr__(self, "clbits", tuple(int(c) for c in self.clbits))
-        spec = self.gate.spec
-        if spec.name != "barrier" and len(self.qubits) != spec.num_qubits:
+        # Hot: runs for every instruction every pass builds.  Branch on len(),
+        # never on truthiness: a numpy array is a valid ``qubits``.
+        qubits = tuple(map(int, self.qubits))
+        object.__setattr__(self, "qubits", qubits)
+        object.__setattr__(self, "clbits", tuple(map(int, self.clbits)))
+        num_qubits = len(qubits)
+        spec = GATE_SPECS[self.gate.name]
+        if num_qubits != spec.num_qubits and spec.name != "barrier":
             raise ValueError(
                 f"gate {self.gate.name!r} acts on {spec.num_qubits} qubits, "
-                f"got {len(self.qubits)}"
+                f"got {num_qubits}"
             )
-        if len(set(self.qubits)) != len(self.qubits):
-            raise ValueError(f"duplicate qubits in instruction: {self.qubits}")
+        if num_qubits > 1 and len(set(qubits)) != num_qubits:
+            raise ValueError(f"duplicate qubits in instruction: {qubits}")
 
     @property
     def name(self) -> str:

@@ -2,8 +2,11 @@
 
 from .decompositions import (
     OneQubitDecomposition,
+    TwoQubitDecomposition,
     WeylDecomposition,
     cnot_count_required,
+    decompose_2q,
+    emit_2q,
     kron_factor,
     synthesize_1q,
     synthesize_2q,
@@ -29,8 +32,11 @@ from .unitaries import (
 
 __all__ = [
     "OneQubitDecomposition",
+    "TwoQubitDecomposition",
     "WeylDecomposition",
     "cnot_count_required",
+    "decompose_2q",
+    "emit_2q",
     "kron_factor",
     "synthesize_1q",
     "synthesize_2q",

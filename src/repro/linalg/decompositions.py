@@ -4,7 +4,11 @@ The 1q Euler decompositions drive ``Optimize1qGatesDecomposition`` (fusing a
 run of single-qubit gates and re-emitting it in a device's native basis),
 and the 2q Weyl (KAK) decomposition drives ``ConsolidateBlocks`` and the
 TKET-style peephole passes (fusing a two-qubit block and re-synthesising it
-when the fused operator needs fewer entangling gates).
+when the fused operator needs fewer entangling gates).  Two-qubit synthesis
+comes in two steps: :func:`decompose_2q` settles the CX count and
+:func:`emit_2q` builds the single-qubit gates around it, so the block
+passes price a block before building its replacement;
+:func:`synthesize_2q` runs both.
 
 All decompositions are *exact up to global phase* and are verified against
 the original matrix before being returned, so callers can trust the output
@@ -34,6 +38,9 @@ __all__ = [
     "WeylDecomposition",
     "weyl_decompose",
     "cnot_count_required",
+    "TwoQubitDecomposition",
+    "decompose_2q",
+    "emit_2q",
     "synthesize_2q",
 ]
 
@@ -372,10 +379,10 @@ def weyl_decompose(matrix: np.ndarray, *, seed: int = 7) -> WeylDecomposition:
     decomp = WeylDecomposition(
         k1l, k1r, k2l, k2r, (cx, cy, cz), global_phase + c0 + phase1 + phase2
     )
-    if not allclose_up_to_global_phase(decomp.matrix(), matrix, tol=1e-5):
+    reconstructed = decomp.matrix()
+    if not allclose_up_to_global_phase(reconstructed, matrix, tol=1e-5):
         raise RuntimeError("Weyl decomposition failed verification")
     # Align the tracked phase exactly with the input matrix.
-    reconstructed = decomp.matrix()
     correction = _phase_between(matrix, reconstructed * cmath.exp(-1j * decomp.global_phase))
     return WeylDecomposition(k1l, k1r, k2l, k2r, (cx, cy, cz), correction)
 
@@ -413,12 +420,78 @@ def cnot_count_required(matrix: np.ndarray) -> int:
     return 3
 
 
-def _emit_local(gates: list[tuple[Gate, int]], matrix: np.ndarray, qubit: int, basis: str) -> float:
+def _emit_local(
+    ops: list[tuple[Gate, tuple[int, ...]]], matrix: np.ndarray, qubit: int, basis: str
+) -> float:
     """Append the synthesis of a local 2x2 unitary; return its global phase."""
     decomp = synthesize_1q(matrix, basis)
     for gate in decomp.gates:
-        gates.append((gate, qubit))
+        ops.append((gate, (qubit,)))
     return decomp.global_phase
+
+
+@dataclass(frozen=True)
+class TwoQubitDecomposition:
+    """A two-qubit unitary taken apart for synthesis, before any 1q gate is built.
+
+    Exactly one of ``local`` (``(A, B, phase)`` from :func:`kron_factor`) and
+    ``weyl`` is set.  For a Weyl decomposition, ``canonical`` and
+    ``canonical_phase`` hold the CX/1q emission of its interaction.
+    ``num_cx`` is the exact number of CX gates :func:`emit_2q` will emit.
+    """
+
+    local: tuple[np.ndarray, np.ndarray, float] | None
+    weyl: WeylDecomposition | None
+    canonical: tuple[tuple[Gate, tuple[int, ...]], ...]
+    canonical_phase: float
+    num_cx: int
+
+
+def decompose_2q(matrix: np.ndarray) -> TwoQubitDecomposition:
+    """First step of :func:`synthesize_2q`: factor or Weyl-decompose ``matrix``.
+
+    This is where the entangling cost is decided, so a caller can price a
+    block by ``num_cx`` before paying for the four single-qubit syntheses of
+    :func:`emit_2q`.  ``num_cx`` is the emitter's count (two CX per
+    non-trivial canonical axis, none for a local operator or a ``±pi/2``
+    axis), not the optimal bound of :func:`cnot_count_required`.  Raises
+    ``RuntimeError`` where :func:`weyl_decompose` does.
+    """
+    matrix = np.asarray(matrix, dtype=complex)
+    factored = kron_factor(matrix)
+    if factored is not None:
+        return TwoQubitDecomposition(factored, None, (), 0.0, 0)
+    decomp = weyl_decompose(matrix)
+    canonical, canonical_phase = _synthesize_canonical(decomp.c)
+    num_cx = sum(1 for _, qubits in canonical if len(qubits) == 2)
+    return TwoQubitDecomposition(None, decomp, tuple(canonical), canonical_phase, num_cx)
+
+
+def emit_2q(
+    decomposition: TwoQubitDecomposition, *, basis_1q: str = "rz_sx"
+) -> tuple[list[tuple[Gate, tuple[int, ...]]], float]:
+    """Second step of :func:`synthesize_2q`: build the gates of a decomposition.
+
+    Runs :func:`synthesize_1q` on each local factor (two for a local
+    operator, four around the canonical interaction) and returns
+    ``(ops, global_phase)`` exactly as :func:`synthesize_2q` does.
+    """
+    ops: list[tuple[Gate, tuple[int, ...]]] = []
+    if decomposition.weyl is None:
+        a, b, phase = decomposition.local
+        phase += _emit_local(ops, a, 0, basis_1q)
+        phase += _emit_local(ops, b, 1, basis_1q)
+        return ops, phase
+
+    decomp = decomposition.weyl
+    phase = decomp.global_phase
+    phase += _emit_local(ops, decomp.k2l, 0, basis_1q)
+    phase += _emit_local(ops, decomp.k2r, 1, basis_1q)
+    ops.extend(decomposition.canonical)
+    phase += decomposition.canonical_phase
+    phase += _emit_local(ops, decomp.k1l, 0, basis_1q)
+    phase += _emit_local(ops, decomp.k1r, 1, basis_1q)
+    return ops, phase
 
 
 def synthesize_2q(
@@ -430,36 +503,10 @@ def synthesize_2q(
     with indices in {0, 1} referring to the two qubits of ``matrix`` (qubit 0
     most significant).  The emitted sequence is exact up to global phase and
     uses two CX gates per non-trivial canonical axis (at most six), dropping
-    axes whose interaction is trivial or purely local.
+    axes whose interaction is trivial or purely local.  Equal to
+    ``emit_2q(decompose_2q(matrix), basis_1q=basis_1q)``.
     """
-    matrix = np.asarray(matrix, dtype=complex)
-    factored = kron_factor(matrix)
-    ops: list[tuple[Gate, tuple[int, ...]]] = []
-    phase = 0.0
-    if factored is not None:
-        a, b, phase = factored
-        local_ops: list[tuple[Gate, int]] = []
-        phase += _emit_local(local_ops, a, 0, basis_1q)
-        phase += _emit_local(local_ops, b, 1, basis_1q)
-        return [(g, (q,)) for g, q in local_ops], phase
-
-    decomp = weyl_decompose(matrix)
-    phase = decomp.global_phase
-
-    pre: list[tuple[Gate, int]] = []
-    phase += _emit_local(pre, decomp.k2l, 0, basis_1q)
-    phase += _emit_local(pre, decomp.k2r, 1, basis_1q)
-    ops.extend((g, (q,)) for g, q in pre)
-
-    canonical_ops, canonical_phase = _synthesize_canonical(decomp.c)
-    ops.extend(canonical_ops)
-    phase += canonical_phase
-
-    post: list[tuple[Gate, int]] = []
-    phase += _emit_local(post, decomp.k1l, 0, basis_1q)
-    phase += _emit_local(post, decomp.k1r, 1, basis_1q)
-    ops.extend((g, (q,)) for g, q in post)
-    return ops, phase
+    return emit_2q(decompose_2q(matrix), basis_1q=basis_1q)
 
 
 def _synthesize_canonical(

@@ -6,11 +6,19 @@ core idea: find maximal sub-circuits that act on a single pair of qubits,
 compute their 4x4 unitary, and replace the block with a fresh synthesis
 whenever that is cheaper.
 
-The re-synthesis uses the exact Weyl-based :func:`repro.linalg.synthesize_2q`
-(two CX per non-trivial canonical axis).  It therefore never increases the
-entangling-gate count of a block that is accepted, but — unlike the
-SDK implementations it models — it does not guarantee the theoretical
-3-CX optimum for every block (see DESIGN.md for this documented deviation).
+The re-synthesis uses the exact Weyl-based two-qubit synthesis of
+:mod:`repro.linalg.decompositions` (two CX per non-trivial canonical axis).
+It never increases the entangling-gate count of a block that is accepted,
+but — unlike the SDK implementations it models — it does not reach the
+theoretical 3-CX optimum for every block: a generic block comes out at 6 CX,
+so a generic block of 6 or fewer CX is kept as it was.
+
+Each block is priced before it is built.  :func:`repro.linalg.decompose_2q`
+gives the exact CX count of the re-synthesis, and only a block that can be
+accepted goes on to :func:`repro.linalg.emit_2q`, which runs the four
+single-qubit syntheses.  Blocks with the same unitary share one
+decomposition within a run.  The outputs are those of synthesising every
+block and comparing afterwards.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ import numpy as np
 
 from ...circuit.circuit import QuantumCircuit
 from ...circuit.gates import Gate, Instruction, gate_matrix
-from ...linalg.decompositions import synthesize_1q, synthesize_2q
+from ...linalg.decompositions import TwoQubitDecomposition, decompose_2q, emit_2q
 from ...linalg.unitaries import allclose_up_to_global_phase
 from ..base import PassContext
 from ..registry import OptimizationPass, register_pass
@@ -153,7 +161,13 @@ def _count_2q(instructions: list[Instruction]) -> int:
 
 
 class _BlockResynthesis(OptimizationPass):
-    """Shared implementation of block collection + re-synthesis."""
+    """Shared implementation of block collection + re-synthesis.
+
+    Each block is priced before it is built: :func:`decompose_2q` settles the
+    CX count of its re-synthesis, and only a block that can be accepted (fewer
+    CX, or as many under ``accept_on_tie``) has its single-qubit gates
+    emitted.  Blocks with the same unitary share one decomposition per run.
+    """
 
     #: accept a replacement only if it strictly reduces 2q gates (Qiskit style)
     #: or also on ties with fewer total gates (TKET peephole style)
@@ -162,10 +176,15 @@ class _BlockResynthesis(OptimizationPass):
     min_block_2q = 2
 
     def run(self, circuit: QuantumCircuit, context: PassContext) -> QuantumCircuit:
+        return self._resynthesize(circuit, context, collect_2q_blocks(circuit))
+
+    def _resynthesize(
+        self, circuit: QuantumCircuit, context: PassContext, blocks: list[TwoQubitBlock]
+    ) -> QuantumCircuit:
         basis_1q = (
             context.device.gate_set.basis_1q if context.device is not None else "rz_sx"
         )
-        blocks = collect_2q_blocks(circuit)
+        decompositions: dict[bytes, TwoQubitDecomposition | None] = {}
         replacements: dict[int, list[Instruction]] = {}
         removed: set[int] = set()
         for block in blocks:
@@ -174,15 +193,26 @@ class _BlockResynthesis(OptimizationPass):
             if old_2q < self.min_block_2q:
                 continue
             unitary = _block_unitary(circuit, block)
+            key = unitary.tobytes()
+            if key not in decompositions:
+                try:
+                    decompositions[key] = decompose_2q(unitary)
+                except RuntimeError:
+                    decompositions[key] = None
+            decomposition = decompositions[key]
+            if decomposition is None:
+                continue
+            new_2q = decomposition.num_cx
+            if not (new_2q < old_2q or (self.accept_on_tie and new_2q == old_2q)):
+                continue
             try:
-                ops, _ = synthesize_2q(unitary, basis_1q=basis_1q)
+                ops, _ = emit_2q(decomposition, basis_1q=basis_1q)
             except RuntimeError:
                 continue
             local = {0: block.qubits[0], 1: block.qubits[1]}
             new_instructions = [
                 Instruction(gate, tuple(local[q] for q in qubits)) for gate, qubits in ops
             ]
-            new_2q = _count_2q(new_instructions)
             better = new_2q < old_2q or (
                 self.accept_on_tie
                 and new_2q == old_2q
@@ -338,8 +368,10 @@ class CliffordSimp(OptimizationPass):
     """TKET-style Clifford simplification (simplified).
 
     Combines single-qubit Clifford folding, inverse-pair cancellation and
-    two-qubit block re-synthesis restricted to Clifford-only blocks, which is
-    where TKET's pass gets most of its two-qubit gate reductions.
+    two-qubit block re-synthesis, which is where TKET's pass gets most of its
+    two-qubit gate reductions.  The re-synthesis runs only on a circuit that
+    has a Clifford-only block, and then over all of its blocks (see
+    ``_CliffordBlockResynthesis``).
     """
 
     name = "clifford_simp"
@@ -348,31 +380,34 @@ class CliffordSimp(OptimizationPass):
     def run(self, circuit: QuantumCircuit, context: PassContext) -> QuantumCircuit:
         circuit = OptimizeCliffords().run(circuit, context)
         circuit = CXCancellation().run(circuit, context)
-        # Re-synthesise Clifford-only 2q blocks.
+        # Re-synthesise every 2q block, if any block is Clifford-only.
         resynth = _CliffordBlockResynthesis()
         circuit = resynth.run(circuit, context)
         return InverseCancellation().run(circuit, context)
 
 
 class _CliffordBlockResynthesis(_BlockResynthesis):
-    """Block re-synthesis that only touches blocks made of Clifford gates."""
+    """Block re-synthesis gated on the presence of a Clifford-only block.
+
+    If no block is made only of Clifford gates the circuit is returned
+    unchanged.  Otherwise *every* block is re-synthesised (with ties
+    accepted), Clifford or not: the check gates the pass, it does not filter
+    the blocks.
+    """
 
     name = "clifford_block_resynthesis"
     accept_on_tie = True
     min_block_2q = 2
 
     def run(self, circuit: QuantumCircuit, context: PassContext) -> QuantumCircuit:
-        # Mark non-Clifford instructions as barriers for the purposes of block
-        # collection by filtering blocks afterwards instead: simpler and safe.
         blocks = collect_2q_blocks(circuit)
-        clifford_indices: set[int] = set()
-        for block in blocks:
-            instrs = [circuit.instructions[i] for i in block.indices]
-            if all(i.gate.spec.clifford for i in instrs):
-                clifford_indices |= set(block.indices)
-        if not clifford_indices:
+        instructions = circuit.instructions
+        if not any(
+            all(instructions[i].gate.spec.clifford for i in block.indices)
+            for block in blocks
+        ):
             return circuit.copy()
-        return super().run(circuit, context)
+        return self._resynthesize(circuit, context, blocks)
 
 
 class FullPeepholeOptimise(OptimizationPass):

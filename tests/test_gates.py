@@ -151,6 +151,62 @@ class TestInstruction:
         assert len(instr.qubits) == 4
 
 
+class TestConstructorChecks:
+    """What ``Gate`` and ``Instruction`` accept, convert and reject."""
+
+    def test_numpy_scalars_become_python_numbers(self):
+        gate = Gate("rz", (np.float32(0.5),))
+        assert type(gate.params[0]) is float and gate.params == (0.5,)
+        instr = Instruction(Gate("measure"), (np.int64(2),), (np.int32(1),))
+        assert instr.qubits == (2,) and instr.clbits == (1,)
+        assert type(instr.qubits[0]) is int and type(instr.clbits[0]) is int
+
+    def test_numpy_arrays_are_accepted(self):
+        gate = Gate("u", np.array([0.1, 0.2, 0.3]))
+        assert gate.params == (0.1, 0.2, 0.3)
+        assert all(type(p) is float for p in gate.params)
+        assert Gate("h", np.array([])).params == ()
+        instr = Instruction(Gate("cx"), np.array([3, 1]), np.array([], dtype=int))
+        assert instr.qubits == (3, 1) and instr.clbits == ()
+        assert all(type(q) is int for q in instr.qubits)
+
+    def test_lists_and_iterators_become_tuples(self):
+        assert Gate("rx", [1]).params == (1.0,)
+        instr = Instruction(Gate("cx"), iter([0, 2]), [0])
+        assert instr.qubits == (0, 2) and instr.clbits == (0,)
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: Gate("foobar"), "unknown gate type: 'foobar'"),
+            (lambda: Gate("rz"), "gate 'rz' expects 1 parameters, got 0"),
+            (lambda: Gate("x", (0.1,)), "gate 'x' expects 0 parameters, got 1"),
+            (lambda: Gate("u", np.array([0.1, 0.2])), "gate 'u' expects 3 parameters, got 2"),
+            (lambda: Instruction(Gate("cx"), (0,)), "gate 'cx' acts on 2 qubits, got 1"),
+            (lambda: Instruction(Gate("h"), (0, 1)), "gate 'h' acts on 1 qubits, got 2"),
+            (lambda: Instruction(Gate("h"), ()), "gate 'h' acts on 1 qubits, got 0"),
+            (lambda: Instruction(Gate("cx"), (1, 1)), "duplicate qubits in instruction: (1, 1)"),
+            (
+                lambda: Instruction(Gate("ccx"), np.array([0, 2, 0])),
+                "duplicate qubits in instruction: (0, 2, 0)",
+            ),
+            (
+                lambda: Instruction(Gate("barrier"), (4, 4)),
+                "duplicate qubits in instruction: (4, 4)",
+            ),
+        ],
+    )
+    def test_rejections_keep_their_text(self, build, message):
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("width", [0, 1, 2, 5])
+    def test_barrier_takes_any_qubit_count(self, width):
+        instr = Instruction(Gate("barrier"), tuple(range(width)))
+        assert instr.qubits == tuple(range(width))
+
+
 class TestSpecificMatrices:
     def test_hadamard(self):
         h = gate_matrix(Gate("h"))

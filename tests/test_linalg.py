@@ -12,6 +12,8 @@ from repro.linalg import (
     allclose_up_to_global_phase,
     circuit_unitary,
     cnot_count_required,
+    decompose_2q,
+    emit_2q,
     embed_unitary,
     global_phase_between,
     instruction_unitary,
@@ -210,3 +212,40 @@ class TestTwoQubitSynthesis:
         for gate, qubits in ops:
             circuit.append(gate, qubits)
         assert allclose_up_to_global_phase(circuit_unitary(circuit), matrix)
+
+
+#: the two-qubit matrices the tests above decompose or synthesise
+_TWO_QUBIT_MATRICES = {
+    **{f"random{seed}": (lambda seed=seed: _random_unitary(4, seed))
+       for seed in (5, 99, *range(200, 210), *range(300, 308))},
+    "local": lambda: np.kron(_random_unitary(2, 1), _random_unitary(2, 2)),
+    "h_t": lambda: np.kron(gate_matrix(Gate("h")), gate_matrix(Gate("t"))),
+    **{name: (lambda name=name: gate_matrix(Gate(name)))
+       for name in ("cx", "cz", "swap", "iswap", "ecr", "ch")},
+    "rzz": lambda: gate_matrix(Gate("rzz", (0.3,))),
+}
+
+
+class TestTwoStepSynthesis:
+    """``synthesize_2q`` is ``emit_2q(decompose_2q(...))``, to the bit."""
+
+    @pytest.mark.parametrize("basis", ["rz_sx", "rz_rx", "rz_ry", "u3"])
+    @pytest.mark.parametrize("name", sorted(_TWO_QUBIT_MATRICES))
+    def test_emit_of_decompose_equals_synthesize(self, name, basis):
+        matrix = _TWO_QUBIT_MATRICES[name]()
+        ops, phase = synthesize_2q(matrix, basis_1q=basis)
+        decomposition = decompose_2q(matrix)
+        two_step_ops, two_step_phase = emit_2q(decomposition, basis_1q=basis)
+        assert two_step_ops == ops
+        assert two_step_phase == phase
+        assert decomposition.num_cx == sum(1 for _, qubits in ops if len(qubits) == 2)
+
+    def test_local_operator_prices_at_zero(self):
+        decomposition = decompose_2q(_TWO_QUBIT_MATRICES["local"]())
+        assert decomposition.weyl is None and decomposition.num_cx == 0
+
+    def test_generic_operator_prices_at_six(self):
+        # The emitter's count, not the optimal bound of cnot_count_required (3).
+        decomposition = decompose_2q(_random_unitary(4, 5))
+        assert decomposition.num_cx == 6
+        assert cnot_count_required(_random_unitary(4, 5)) == 3

@@ -2,12 +2,21 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.bench import benchmark_circuit
 from repro.circuit import Gate, Instruction, QuantumCircuit, random_circuit
 from repro.devices import get_device
-from repro.linalg import allclose_up_to_global_phase, circuit_unitary
+from repro.linalg import (
+    allclose_up_to_global_phase,
+    circuit_unitary,
+    kron_factor,
+    synthesize_2q,
+)
+from repro.linalg import decompositions
 from repro.passes import (
     BasisTranslator,
     CliffordSimp,
@@ -25,6 +34,12 @@ from repro.passes import (
     RemoveRedundancies,
 )
 from repro.passes.optimization import collect_2q_blocks, commutes
+from repro.passes.optimization.blocks import (
+    _block_unitary,
+    _BlockResynthesis,
+    _CliffordBlockResynthesis,
+    _count_2q,
+)
 
 _ALL_OPTIMIZATION_PASSES = [
     Optimize1qGatesDecomposition,
@@ -421,3 +436,188 @@ class TestBlockPasses:
         circuit.cx(0, 1)
         out = Collect2qBlocksConsolidate().run(circuit, PassContext(device=device))
         assert allclose_up_to_global_phase(circuit_unitary(out), circuit_unitary(circuit))
+
+
+# ---------------------------------------------------------------------------
+# Block pricing: decompose each distinct block once, emit only the winners
+# ---------------------------------------------------------------------------
+
+_BASES = ("rz_sx", "rz_rx", "rz_ry", "u3")
+_BLOCK_PASSES = (Collect2qBlocksConsolidate, PeepholeOptimise2Q, _CliffordBlockResynthesis)
+
+
+def _basis_context(basis: str) -> PassContext:
+    base = get_device("ibmq_montreal")
+    gate_set = dataclasses.replace(base.gate_set, basis_1q=basis)
+    return PassContext(device=dataclasses.replace(base, gate_set=gate_set))
+
+
+def _has_clifford_block(circuit: QuantumCircuit) -> bool:
+    return any(
+        all(circuit.instructions[i].gate.spec.clifford for i in block.indices)
+        for block in collect_2q_blocks(circuit)
+    )
+
+
+def _eligible_blocks(pass_obj, circuit):
+    """(block, old instructions, unitary) for every block the pass considers."""
+    if isinstance(pass_obj, _CliffordBlockResynthesis) and not _has_clifford_block(circuit):
+        return []
+    out = []
+    for block in collect_2q_blocks(circuit):
+        old = [circuit.instructions[i] for i in block.indices]
+        if _count_2q(old) >= pass_obj.min_block_2q:
+            out.append((block, old, _block_unitary(circuit, block)))
+    return out
+
+
+def _reference_resynthesis(pass_obj, circuit, context):
+    """The synthesise-every-block loop: build each replacement, then compare."""
+    basis_1q = context.device.gate_set.basis_1q
+    replacements, removed = {}, set()
+    for block, old, unitary in _eligible_blocks(pass_obj, circuit):
+        try:
+            ops, _ = synthesize_2q(unitary, basis_1q=basis_1q)
+        except RuntimeError:
+            continue
+        local = {0: block.qubits[0], 1: block.qubits[1]}
+        new = [Instruction(gate, tuple(local[q] for q in qubits)) for gate, qubits in ops]
+        old_2q, new_2q = _count_2q(old), _count_2q(new)
+        if new_2q < old_2q or (
+            pass_obj.accept_on_tie and new_2q == old_2q and len(new) < len(old)
+        ):
+            replacements[block.indices[0]] = new
+            removed |= set(block.indices)
+    out = []
+    for i, instr in enumerate(circuit.instructions):
+        out.extend(replacements.get(i, ()))
+        if i not in removed:
+            out.append(instr)
+    if isinstance(pass_obj, PeepholeOptimise2Q):
+        rebuilt = QuantumCircuit(circuit.num_qubits, circuit.num_clbits)
+        for instr in out:
+            rebuilt.append_instruction(instr)
+        rebuilt = Optimize1qGatesDecomposition().run(rebuilt, context)
+        return list(RemoveRedundancies().run(rebuilt, context).instructions)
+    return out
+
+
+def _pricing_corpus() -> QuantumCircuit:
+    """Blocks of every kind the pricing must tell apart, on four qubits.
+
+    (0,1) and (2,3) carry the same 2-CX block (a repeated unitary that ties
+    under ``accept_on_tie``); (1,2) carries a 3-CX block that the emitter
+    would re-synthesise with 6 CX; the later (0,1) blocks re-synthesise to
+    no CX (a Clifford-only block) and to 2 CX from 3.
+    """
+    circuit = QuantumCircuit(4)
+    for a, b in ((0, 1), (2, 3)):
+        circuit.cx(a, b)
+        circuit.rz(0.3, b)
+        circuit.cx(a, b)
+        for _ in range(3):
+            circuit.t(a)
+            circuit.h(b)
+    circuit.cx(1, 2)
+    circuit.u(0.3, 0.5, 0.7, 1)
+    circuit.u(1.1, 0.2, 0.4, 2)
+    circuit.cx(2, 1)
+    circuit.rx(0.9, 1)
+    circuit.ry(0.6, 2)
+    circuit.cx(1, 2)
+    circuit.cx(0, 1)
+    circuit.x(0)
+    circuit.cx(0, 1)
+    circuit.cx(0, 3)
+    circuit.rz(0.2, 0)
+    circuit.cx(0, 3)
+    circuit.rz(-0.2, 0)
+    circuit.cx(0, 3)
+    return circuit
+
+
+def _equivalence_corpus() -> list[QuantumCircuit]:
+    circuits = [_pricing_corpus()]
+    circuits += [random_circuit(4, 12, seed=seed) for seed in range(4)]
+    circuits += [
+        benchmark_circuit(family, 4)
+        for family in ("qft", "qaoa", "realamprandom", "graphstate", "vqe", "dj")
+    ]
+    return circuits
+
+
+class TestBlockPricing:
+    @pytest.mark.parametrize("basis", _BASES)
+    @pytest.mark.parametrize("pass_cls", _BLOCK_PASSES, ids=lambda c: c.__name__)
+    def test_same_instructions_as_synthesising_every_block(self, pass_cls, basis):
+        context = _basis_context(basis)
+        for circuit in _equivalence_corpus():
+            for source in (circuit, BasisTranslator().run(circuit, context)):
+                expected = _reference_resynthesis(pass_cls(), source, context)
+                assert pass_cls().run(source, context).instructions == expected
+
+    def test_corpus_has_a_repeat_a_six_cx_block_and_winners(self):
+        eligible = _eligible_blocks(_CliffordBlockResynthesis(), _pricing_corpus())
+        keys = [unitary.tobytes() for _, _, unitary in eligible]
+        assert len(set(keys)) < len(keys)
+        costs = [
+            (_count_2q(old), sum(1 for _, q in synthesize_2q(u)[0] if len(q) == 2))
+            for _, old, u in eligible
+        ]
+        assert (3, 6) in costs
+        assert (2, 2) in costs
+        assert any(new < old for old, new in costs)
+
+    @pytest.mark.parametrize("basis", _BASES)
+    @pytest.mark.parametrize("pass_cls", _BLOCK_PASSES, ids=lambda c: c.__name__)
+    def test_decomposes_each_distinct_block_once_and_emits_only_winners(
+        self, pass_cls, basis, monkeypatch
+    ):
+        pass_obj, context = pass_cls(), _basis_context(basis)
+        circuit = _pricing_corpus()
+        distinct_entangling, expected_1q, emitted = set(), 0, 0
+        for _, old, unitary in _eligible_blocks(pass_obj, circuit):
+            local = kron_factor(unitary) is not None
+            if not local:
+                distinct_entangling.add(unitary.tobytes())
+            ops, _ = synthesize_2q(unitary, basis_1q=basis)
+            old_2q, new_2q = _count_2q(old), sum(1 for _, q in ops if len(q) == 2)
+            if new_2q < old_2q or (pass_obj.accept_on_tie and new_2q == old_2q):
+                emitted += 1
+                expected_1q += 2 if local else 4
+        assert emitted and expected_1q
+
+        counts = {"weyl_decompose": 0, "synthesize_1q": 0}
+
+        def counting(name):
+            original = getattr(decompositions, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in counts:
+            monkeypatch.setattr(decompositions, name, counting(name))
+        if isinstance(pass_obj, PeepholeOptimise2Q):
+            # Leave out the 1q clean-up that follows the block loop.
+            _BlockResynthesis.run(pass_obj, circuit, context)
+        else:
+            pass_obj.run(circuit, context)
+        assert counts == {
+            "weyl_decompose": len(distinct_entangling),
+            "synthesize_1q": expected_1q,
+        }
+
+    def test_clifford_pass_gates_on_a_clifford_block(self, monkeypatch):
+        # No Clifford-only block: nothing is decomposed and the input comes back.
+        circuit = QuantumCircuit(2)
+        circuit.cx(0, 1)
+        circuit.t(1)
+        circuit.cx(0, 1)
+        circuit.cx(0, 1)
+        calls = []
+        monkeypatch.setattr(decompositions, "weyl_decompose", lambda *a: calls.append(a))
+        out = _CliffordBlockResynthesis().run(circuit, PassContext())
+        assert out.instructions == circuit.instructions and calls == []

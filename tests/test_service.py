@@ -601,6 +601,8 @@ class TestRemoteService:
                 proc.wait(timeout=20)
             except subprocess.TimeoutExpired:  # pragma: no cover - stuck server
                 proc.kill()
+                proc.wait()
+            proc.stdout.close()
 
     def test_client_requires_exactly_one_target(self):
         with pytest.raises(ValueError):
