@@ -25,6 +25,10 @@ class QuantumCircuit:
     :class:`repro.circuit.dag.DAGCircuit`.
     """
 
+    #: ``to_qasm``'s memo: ``(instruction list, (length, num_qubits,
+    #: num_clbits), text)``.  A class default, so an unpickled circuit reads None.
+    _qasm: tuple | None = None
+
     def __init__(self, num_qubits: int, num_clbits: int | None = None, name: str = "circuit"):
         if num_qubits < 0:
             raise ValueError("num_qubits must be non-negative")
@@ -35,6 +39,13 @@ class QuantumCircuit:
         self.metadata: dict = {}
         # cached (instruction count, digest) pair; see fingerprint()
         self._fingerprint: tuple[int, str] | None = None
+        self._qasm = None
+
+    def __getstate__(self) -> dict:
+        # The QASM memo is derived text: a pickled circuit does not carry it.
+        state = self.__dict__.copy()
+        state.pop("_qasm", None)
+        return state
 
     # -- basic container protocol ------------------------------------------------
 
@@ -96,6 +107,7 @@ class QuantumCircuit:
                 )
         self._instructions.append(instr)
         self._fingerprint = None
+        self._qasm = None
         return self
 
     def append_instruction(self, instruction: Instruction) -> "QuantumCircuit":
@@ -230,6 +242,7 @@ class QuantumCircuit:
         qs = tuple(qubits) if qubits else tuple(range(self.num_qubits))
         self._instructions.append(Instruction(gate, qs))
         self._fingerprint = None
+        self._qasm = None
         return self
 
     # -- identity ---------------------------------------------------------------------
@@ -247,6 +260,12 @@ class QuantumCircuit:
         ``_instructions`` directly is also covered as long as it changes the
         instruction count; in-place same-length edits of the private list are
         not detected.
+
+        :func:`repro.circuit.qasm.to_qasm` keeps its text in ``_qasm`` under
+        the same rules, and is also invalidated when ``_instructions`` is
+        rebound to another list or ``num_qubits``/``num_clbits`` change; the
+        same-length in-place caveat applies to it too.  ``copy()`` starts
+        without it, and a pickled circuit leaves it out.
         """
         cached = self._fingerprint
         if cached is not None and cached[0] == len(self._instructions):

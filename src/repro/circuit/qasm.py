@@ -16,7 +16,7 @@ import math
 import re
 
 from .circuit import QuantumCircuit
-from .gates import GATE_SPECS
+from .gates import GATE_SPECS, Gate, Instruction
 
 __all__ = ["QasmError", "to_qasm", "from_qasm"]
 
@@ -58,7 +58,25 @@ def _format_param(value: float) -> str:
 
 
 def to_qasm(circuit: QuantumCircuit) -> str:
-    """Serialise a circuit to an OpenQASM 2 string."""
+    """Serialise a circuit to an OpenQASM 2 string.
+
+    The text is stored on the circuit and returned again while the circuit
+    is unchanged, so a cached result costs one encode however often it is
+    sent.  The memo is dropped by ``append``/``barrier`` and is ignored once
+    ``_instructions`` is rebound or changes length, or the qubit or clbit
+    count changes (see :meth:`QuantumCircuit.fingerprint`).
+    """
+    instructions = circuit._instructions
+    key = (len(instructions), circuit.num_qubits, circuit.num_clbits)
+    memo = circuit._qasm
+    if memo is not None and memo[0] is instructions and memo[1] == key:
+        return memo[2]
+    text = _encode(circuit)
+    circuit._qasm = (instructions, key, text)
+    return text
+
+
+def _encode(circuit: QuantumCircuit) -> str:
     lines = [_HEADER.rstrip("\n")]
     lines.append(f"qreg q[{max(circuit.num_qubits, 1)}];")
     lines.append(f"creg c[{max(circuit.num_clbits, 1)}];")
@@ -254,7 +272,7 @@ class _Registers:
         return list(range(offset, offset + size))
 
 
-def _parse_gate_args(args: str, qregs: _Registers, line: str) -> list[int]:
+def _parse_gate_args(args: str, qregs: _Registers, line: str) -> tuple[int, ...]:
     """Resolve comma-separated ``reg[idx]`` gate operands to flat qubit indices."""
     qubits: list[int] = []
     for arg in args.split(","):
@@ -270,7 +288,7 @@ def _parse_gate_args(args: str, qregs: _Registers, line: str) -> list[int]:
                 f"supported here: {line!r}"
             )
         qubits.append(qregs.resolve(match.group("name"), int(match.group("index")), line))
-    return qubits
+    return tuple(qubits)
 
 
 def from_qasm(text: str) -> QuantumCircuit:
@@ -290,6 +308,9 @@ def from_qasm(text: str) -> QuantumCircuit:
             continue
         if line.startswith(("OPENQASM", "include")):
             continue
+        if not line.startswith(("qreg", "creg")):
+            body.append(line)
+            continue
         match = _REG_DECL_RE.match(line)
         if match:
             if body:
@@ -302,11 +323,23 @@ def from_qasm(text: str) -> QuantumCircuit:
                 raise QasmError(f"duplicate register name {match.group('name')!r}: {line!r}")
             regs.declare(match.group("name"), int(match.group("size")), line)
             continue
-        if line.startswith(("qreg", "creg")):
-            raise QasmError(f"cannot parse register declaration: {line!r}")
-        body.append(line)
+        raise QasmError(f"cannot parse register declaration: {line!r}")
 
     circuit = QuantumCircuit(qregs.total, cregs.total or None)
+    instructions = circuit._instructions
+    # One pass over the statements.  Per call, each distinct (name, parameter
+    # text) gets one validated Gate and each distinct operand text is
+    # resolved once; the registers already range-checked every index, so
+    # instructions go straight onto the list.
+    gates: dict[tuple[str, str | None], Gate] = {}
+    operands: dict[str, tuple[int, ...]] = {}
+
+    def fixed_gate(name: str) -> Gate:
+        gate = gates.get((name, None))
+        if gate is None:
+            gate = gates[name, None] = Gate(name)
+        return gate
+
     for line in body:
         if line.startswith("measure"):
             match = _MEASURE_RE.match(line)
@@ -314,7 +347,7 @@ def from_qasm(text: str) -> QuantumCircuit:
                 raise QasmError(f"cannot parse measurement: {line!r}")
             qubit = qregs.resolve(match.group("qreg"), int(match.group("qidx")), line)
             clbit = cregs.resolve(match.group("creg"), int(match.group("cidx")), line)
-            circuit.measure(qubit, clbit)
+            instructions.append(Instruction(fixed_gate("measure"), (qubit,), (clbit,)))
             continue
         match = _TOKEN_RE.match(line)
         if not match:
@@ -337,21 +370,36 @@ def from_qasm(text: str) -> QuantumCircuit:
                             arg_match.group("name"), int(arg_match.group("index")), line
                         )
                     )
-            circuit.barrier(*qubits)
-            continue
-        params_text = match.group("params")
-        params = (
-            [_eval_param(p) for p in params_text.split(",")] if params_text else []
-        )
-        if name == "cu3":
-            name, params = "cu", params + [0.0]
-        if name not in GATE_SPECS:
-            raise QasmError(f"unsupported gate in QASM input: {name!r}")
-        if not args:
-            raise QasmError(f"gate {name!r} has no operands: {line!r}")
-        qubits = _parse_gate_args(args, qregs, line)
+            gate = fixed_gate("barrier")
+            operand = tuple(qubits) if qubits else tuple(range(circuit.num_qubits))
+        else:
+            # Errors keep their order: parameters, unsupported gate, missing
+            # operands, operands, then parameter count and arity.
+            params_text = match.group("params")
+            key = (name, params_text)
+            gate = gates.get(key)
+            if gate is None:
+                params = (
+                    [_eval_param(p) for p in params_text.split(",")] if params_text else []
+                )
+                if name == "cu3":
+                    name, params = "cu", params + [0.0]
+                if name not in GATE_SPECS:
+                    raise QasmError(f"unsupported gate in QASM input: {name!r}")
+            else:
+                name = gate.name
+            if not args:
+                raise QasmError(f"gate {name!r} has no operands: {line!r}")
+            operand = operands.get(args)
+            if operand is None:
+                operand = operands[args] = _parse_gate_args(args, qregs, line)
+            if gate is None:
+                try:
+                    gate = gates[key] = Gate(name, tuple(params))
+                except ValueError as exc:
+                    raise QasmError(f"{exc}: {line!r}") from None
         try:
-            circuit.append(name, qubits, params)
+            instructions.append(Instruction(gate, operand))
         except ValueError as exc:
             raise QasmError(f"{exc}: {line!r}") from None
     return circuit

@@ -28,6 +28,13 @@ class CouplingMap:
         for a, b in edges or []:
             self.add_edge(a, b)
 
+    def __getstate__(self) -> dict:
+        # The distance matrix is rebuilt on first use; left in, its n*n floats
+        # are most of every pickled compile result (127*127 on washington).
+        state = self.__dict__.copy()
+        state["_distance"] = None
+        return state
+
     # -- construction -------------------------------------------------------------
 
     def add_edge(self, a: int, b: int) -> None:

@@ -475,6 +475,7 @@ class TketRouting(_BaseRouter):
         instructions = list(circuit.instructions)
 
         index = 0
+        swaps_since_progress = 0
         while index < len(instructions):
             instr = instructions[index]
             if instr.name == "barrier" or len(instr.qubits) < 2:
@@ -485,7 +486,13 @@ class TketRouting(_BaseRouter):
             if coupling.are_connected(a, b):
                 out._instructions.append(state.remap(instr))
                 index += 1
+                swaps_since_progress = 0
                 continue
+            # The window score can cycle through SWAPs that never bring the
+            # blocked pair together; bound it as SabreSwap does.
+            swaps_since_progress += 1
+            if swaps_since_progress > 10 * device.num_qubits + 100:
+                raise RuntimeError("TKET routing failed to make progress")
             upcoming = self._upcoming_pairs(instructions, index)
             best_swap = self._best_swap(a, b, upcoming, state, coupling, distances, rng)
             out.append(Gate("swap"), best_swap)

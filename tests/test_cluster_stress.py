@@ -65,6 +65,9 @@ def _stop_host(proc) -> None:
         proc.wait(timeout=30)
     except subprocess.TimeoutExpired:  # pragma: no cover - stuck server
         proc.kill()
+        proc.wait()
+    finally:
+        proc.stdout.close()
 
 
 @pytest.fixture()

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
+import repro
+from repro.bench import benchmark_circuit
 from repro.circuit import QuantumCircuit
 from repro.devices import (
     Calibration,
@@ -80,6 +84,18 @@ class TestCouplingMap:
     def test_is_connected_graph(self):
         assert line_map(6).is_connected_graph()
         assert not CouplingMap(4, [(0, 1)]).is_connected_graph()
+
+    def test_pickle_leaves_out_the_distance_cache(self):
+        result = repro.compile(
+            benchmark_circuit("qft", 5), backend="qiskit-o3", device="ibmq_washington"
+        )
+        original = result.device.coupling_map.distance_matrix()
+        payload = pickle.dumps(result)
+        assert len(payload) < 20_000
+        restored = pickle.loads(payload).device.coupling_map
+        assert restored._distance is None
+        assert np.array_equal(restored.distance_matrix(), original)
+        assert result.device.coupling_map._distance is original
 
 
 class TestTopologies:

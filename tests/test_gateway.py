@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import http.client
 import json
 import socket
@@ -12,7 +13,7 @@ from concurrent.futures import Future
 import pytest
 
 from repro.bench import benchmark_circuit
-from repro.circuit import to_qasm
+from repro.circuit import qasm, to_qasm
 from repro.gateway import (
     FairShareScheduler,
     GatewayClient,
@@ -50,6 +51,13 @@ TENANTS = [
 def gateway(service):
     with GatewayServer(service, tenants=list(TENANTS), sample_interval=0.2) as gw:
         yield gw
+
+
+@pytest.fixture()
+def connect():
+    """Open ``GatewayClient``s that are closed when the test ends."""
+    with contextlib.ExitStack() as stack:
+        yield lambda url, **kwargs: stack.enter_context(GatewayClient(url, **kwargs))
 
 
 class TestAuthUnit:
@@ -211,8 +219,8 @@ class TestJobClock:
 
 
 class TestGatewayHTTP:
-    def test_sync_compile_round_trip(self, gateway, ghz3):
-        client = GatewayClient(gateway.url, api_key="alice-key")
+    def test_sync_compile_round_trip(self, gateway, ghz3, connect):
+        client = connect(gateway.url, api_key="alice-key")
         result = client.compile(ghz3, backend="qiskit-o1", device="ibmq_washington")
         assert result.succeeded
         assert result.backend == "qiskit-o1"
@@ -223,13 +231,30 @@ class TestGatewayHTTP:
         assert again.metadata.get("cached") is True
         assert again.reward == pytest.approx(result.reward)
 
-    def test_compile_accepts_raw_qasm(self, gateway, ghz3):
-        client = GatewayClient(gateway.url, api_key="alice-key")
+    def test_warm_compile_encodes_no_qasm(self, gateway, connect, monkeypatch):
+        """The client's circuit and the cached result each cost one encode."""
+        encodes = []
+        encode = qasm._encode
+        monkeypatch.setattr(
+            qasm, "_encode", lambda circuit: encodes.append(circuit) or encode(circuit)
+        )
+        circuit = benchmark_circuit("qft", 3)
+        client = connect(gateway.url, api_key="alice-key")
+        first = client.compile(circuit, backend="qiskit-o1", device="ibmq_montreal", seed=5)
+        assert first.succeeded and len(encodes) == 2
+        for _ in range(3):
+            again = client.compile(circuit, backend="qiskit-o1", device="ibmq_montreal", seed=5)
+            assert again.metadata.get("cached") is True
+            assert again.circuit == first.circuit
+        assert len(encodes) == 2
+
+    def test_compile_accepts_raw_qasm(self, gateway, ghz3, connect):
+        client = connect(gateway.url, api_key="alice-key")
         result = client.compile(to_qasm(ghz3), backend="qiskit-o0")
         assert result.succeeded
 
-    def test_async_submit_poll_result(self, gateway, ghz3):
-        client = GatewayClient(gateway.url, api_key="alice-key")
+    def test_async_submit_poll_result(self, gateway, ghz3, connect):
+        client = connect(gateway.url, api_key="alice-key")
         job_id = client.submit(ghz3, backend="qiskit-o1", device="ibmq_washington", seed=3)
         result = client.result(job_id, timeout=120)
         assert result.succeeded
@@ -238,8 +263,8 @@ class TestGatewayHTTP:
         assert job["tenant"] == "alice"
         assert job["wall_seconds"] >= 0
 
-    def test_sse_event_stream(self, gateway, ghz3):
-        client = GatewayClient(gateway.url, api_key="alice-key")
+    def test_sse_event_stream(self, gateway, ghz3, connect):
+        client = connect(gateway.url, api_key="alice-key")
         job_id = client.submit(ghz3, backend="tket-o1", device="ibmq_washington", seed=11)
         events = list(client.events(job_id, timeout=120))
         names = [event["event"] for event in events]
@@ -249,15 +274,15 @@ class TestGatewayHTTP:
         assert done["succeeded"] is True
         assert done["job_id"] == job_id
 
-    def test_missing_api_key_is_401(self, gateway, ghz3):
-        client = GatewayClient(gateway.url)
+    def test_missing_api_key_is_401(self, gateway, ghz3, connect):
+        client = connect(gateway.url)
         with pytest.raises(GatewayError) as excinfo:
             client.compile(ghz3, backend="qiskit-o0")
         assert excinfo.value.status == 401
         assert excinfo.value.error_type == "auth_error"
 
-    def test_bad_qasm_is_400_qasm_error(self, gateway):
-        client = GatewayClient(gateway.url, api_key="alice-key")
+    def test_bad_qasm_is_400_qasm_error(self, gateway, connect):
+        client = connect(gateway.url, api_key="alice-key")
         bad = 'OPENQASM 2.0;\nqreg q[1];\ncreg c[1];\nh q[5];\n'
         with pytest.raises(GatewayError) as excinfo:
             client.compile(bad, backend="qiskit-o0")
@@ -265,15 +290,15 @@ class TestGatewayHTTP:
         assert excinfo.value.error_type == "qasm_error"
         assert "out of range" in str(excinfo.value)
 
-    def test_unknown_backend_is_400(self, gateway, ghz3):
-        client = GatewayClient(gateway.url, api_key="alice-key")
+    def test_unknown_backend_is_400(self, gateway, ghz3, connect):
+        client = connect(gateway.url, api_key="alice-key")
         with pytest.raises(GatewayError) as excinfo:
             client.compile(ghz3, backend="no-such-compiler")
         assert excinfo.value.status == 400
 
-    def test_unknown_job_and_foreign_job_are_404(self, gateway, ghz3):
-        alice = GatewayClient(gateway.url, api_key="alice-key")
-        bob = GatewayClient(gateway.url, api_key="bob-key")
+    def test_unknown_job_and_foreign_job_are_404(self, gateway, ghz3, connect):
+        alice = connect(gateway.url, api_key="alice-key")
+        bob = connect(gateway.url, api_key="bob-key")
         job_id = alice.submit(ghz3, backend="qiskit-o0", seed=21)
         with pytest.raises(GatewayError) as excinfo:
             bob.job(job_id)
@@ -282,13 +307,13 @@ class TestGatewayHTTP:
             alice.job("job-999-deadbeef")
         assert excinfo.value.status == 404
         # Admins see every tenant's jobs.
-        ops = GatewayClient(gateway.url, api_key="ops-key")
+        ops = connect(gateway.url, api_key="ops-key")
         assert ops.job(job_id)["tenant"] == "alice"
 
-    def test_rate_limit_is_429_with_retry_after(self, service, ghz3):
+    def test_rate_limit_is_429_with_retry_after(self, service, ghz3, connect):
         tenants = [Tenant("tiny", "tiny-key", rate=1.0, burst=2)]
         with GatewayServer(service, tenants=tenants, sample_interval=0) as gw:
-            client = GatewayClient(gw.url, api_key="tiny-key")
+            client = connect(gw.url, api_key="tiny-key")
             outcomes = []
             for seed in range(4):
                 try:
@@ -300,8 +325,8 @@ class TestGatewayHTTP:
             assert outcomes[:2] == ["accepted", "accepted"]
             assert (429, "rate_limited") in outcomes
 
-    def test_stats_and_metrics_endpoints(self, gateway, ghz3):
-        client = GatewayClient(gateway.url, api_key="alice-key")
+    def test_stats_and_metrics_endpoints(self, gateway, ghz3, connect):
+        client = connect(gateway.url, api_key="alice-key")
         client.compile(ghz3, backend="qiskit-o1", device="ibmq_washington", priority=2)
         stats = client.stats()
         assert stats["gateway"]["counters"]["jobs_submitted"] >= 1
@@ -322,18 +347,18 @@ class TestGatewayHTTP:
         assert "# TYPE repro_span_duration_seconds histogram" in text
         assert "repro_gateway_ready 1" in text
 
-    def test_healthz_ok(self, gateway):
-        client = GatewayClient(gateway.url)
+    def test_healthz_ok(self, gateway, connect):
+        client = connect(gateway.url)
         health = client.healthz()  # healthz needs no auth
         assert health["status"] == "ok"
         assert health["ready"] is True
         assert health["service"]["status"] == "ok"
 
-    def test_drain_flips_healthz_and_refuses_work(self, service, ghz3):
+    def test_drain_flips_healthz_and_refuses_work(self, service, ghz3, connect):
         tenants = [Tenant("a", "ka"), Tenant("ops", "kops", admin=True)]
         with GatewayServer(service, tenants=tenants, sample_interval=0) as gw:
-            alice = GatewayClient(gw.url, api_key="ka")
-            ops = GatewayClient(gw.url, api_key="kops")
+            alice = connect(gw.url, api_key="ka")
+            ops = connect(gw.url, api_key="kops")
             # Non-admins may not drain.
             with pytest.raises(GatewayError) as excinfo:
                 alice.drain()
@@ -355,15 +380,15 @@ class TestGatewayHTTP:
                 alice.compile(ghz3, backend="qiskit-o0", seed=99)
             assert excinfo.value.status == 503
 
-    def test_open_mode_needs_no_key(self, service, ghz3):
+    def test_open_mode_needs_no_key(self, service, ghz3, connect):
         with GatewayServer(service, sample_interval=0) as gw:
-            client = GatewayClient(gw.url)
+            client = connect(gw.url)
             assert client.compile(ghz3, backend="qiskit-o0").succeeded
             assert "tenants" not in client.stats()
 
-    def test_not_found_route(self, gateway):
+    def test_not_found_route(self, gateway, connect):
         with pytest.raises(GatewayError) as excinfo:
-            GatewayClient(gateway.url, api_key="alice-key")._request("GET", "/v2/nope")
+            connect(gateway.url, api_key="alice-key")._request("GET", "/v2/nope")
         assert excinfo.value.status == 404
 
     def test_bearer_token_auth_works(self, gateway):
@@ -372,16 +397,16 @@ class TestGatewayHTTP:
         with urllib.request.urlopen(request, timeout=30) as response:
             assert response.status == 200
 
-    def test_deadline_zero_gives_structured_failure(self, gateway, ghz3):
-        client = GatewayClient(gateway.url, api_key="alice-key")
+    def test_deadline_zero_gives_structured_failure(self, gateway, ghz3, connect):
+        client = connect(gateway.url, api_key="alice-key")
         result = client.compile(ghz3, backend="qiskit-o1", seed=1234, deadline=0)
         assert not result.succeeded
         assert result.metadata.get("deadline_exceeded") is True
 
 
 class TestPassCatalogAndOverrides:
-    def test_passes_endpoint_serves_the_catalog(self, gateway):
-        client = GatewayClient(gateway.url, api_key="alice-key")
+    def test_passes_endpoint_serves_the_catalog(self, gateway, connect):
+        client = connect(gateway.url, api_key="alice-key")
         catalog = client.passes()
         names = {entry["name"] for entry in catalog}
         assert {"sabre_swap", "tket_routing", "basis_translator"} <= names
@@ -390,16 +415,16 @@ class TestPassCatalogAndOverrides:
             for entry in catalog
         )
 
-    def test_passes_endpoint_role_filter(self, gateway):
-        client = GatewayClient(gateway.url, api_key="alice-key")
+    def test_passes_endpoint_role_filter(self, gateway, connect):
+        client = connect(gateway.url, api_key="alice-key")
         routers = client.passes(role="routing")
         assert routers and all(entry["role"] == "routing" for entry in routers)
         with pytest.raises(GatewayError) as excinfo:
             client.passes(role="warp")
         assert excinfo.value.status == 400
 
-    def test_compile_payload_pass_overrides(self, gateway, ghz3):
-        client = GatewayClient(gateway.url, api_key="alice-key")
+    def test_compile_payload_pass_overrides(self, gateway, ghz3, connect):
+        client = connect(gateway.url, api_key="alice-key")
         result = client.compile(
             ghz3,
             backend="qiskit-o3",
@@ -409,15 +434,15 @@ class TestPassCatalogAndOverrides:
         assert "tket_routing" in result.actions
         assert "+routing=tket_routing" in result.backend
 
-    def test_bad_override_is_a_400(self, gateway, ghz3):
-        client = GatewayClient(gateway.url, api_key="alice-key")
+    def test_bad_override_is_a_400(self, gateway, ghz3, connect):
+        client = connect(gateway.url, api_key="alice-key")
         with pytest.raises(GatewayError) as excinfo:
             client.compile(ghz3, backend="qiskit-o3", pass_overrides={"routing": "warp"})
         assert excinfo.value.status == 400
         assert "warp" in str(excinfo.value)
 
-    def test_non_object_overrides_is_a_400(self, gateway, ghz3):
-        client = GatewayClient(gateway.url, api_key="alice-key")
+    def test_non_object_overrides_is_a_400(self, gateway, ghz3, connect):
+        client = connect(gateway.url, api_key="alice-key")
         payload = {"qasm": to_qasm(ghz3), "backend": "qiskit-o3", "pass_overrides": ["routing"]}
         with pytest.raises(GatewayError) as excinfo:
             client._request("POST", "/v1/compile", payload)
@@ -425,8 +450,8 @@ class TestPassCatalogAndOverrides:
 
 
 class TestObservabilityHTTP:
-    def test_trace_id_round_trips_to_a_full_span_tree(self, gateway, ghz3):
-        client = GatewayClient(gateway.url, api_key="alice-key")
+    def test_trace_id_round_trips_to_a_full_span_tree(self, gateway, ghz3, connect):
+        client = connect(gateway.url, api_key="alice-key")
         job_id = client.submit(
             ghz3, backend="qiskit-o1", device="ibmq_washington",
             trace_id="trace-gw-0001",
@@ -473,8 +498,8 @@ class TestObservabilityHTTP:
         assert "/v1/stats" in html
         assert "<script>" in html and "<style>" in html
 
-    def test_latency_histogram_in_metrics(self, gateway, ghz3):
-        client = GatewayClient(gateway.url, api_key="alice-key")
+    def test_latency_histogram_in_metrics(self, gateway, ghz3, connect):
+        client = connect(gateway.url, api_key="alice-key")
         client.compile(ghz3, backend="qiskit-o0", device="ibmq_washington")
         text = client.metrics()
         assert "# TYPE repro_gateway_request_latency_seconds histogram" in text
@@ -494,20 +519,20 @@ class TestObservabilityHTTP:
         assert client.stats()["gateway"]["latency"]["tenant:alice"]["p95_seconds"] > 0
 
     @pytest.mark.parametrize("process_lane", [False, True], ids=["thread", "process"])
-    def test_stage_histograms_count_every_compile(self, ghz3, process_lane):
+    def test_stage_histograms_count_every_compile(self, ghz3, process_lane, connect):
         """No opt-in: /metrics counts one stage.routing per preset compile."""
         lanes = {"process_backends": ("qiskit-o0",)} if process_lane else {}
         span_histograms().reset()  # a fresh process's sink
         with CompileService(max_workers=1, **lanes) as service:
             with GatewayServer(service, sample_interval=0) as gw:
-                client = GatewayClient(gw.url)
+                client = connect(gw.url)
                 for seed in range(3):
                     assert client.compile(ghz3, backend="qiskit-o0", seed=seed).succeeded
                 text = client.metrics()
         assert 'repro_span_duration_seconds_count{span="stage.routing"} 3' in text.splitlines()
 
-    def test_slow_request_log_feeds_stats(self, gateway, ghz3):
-        client = GatewayClient(gateway.url, api_key="alice-key")
+    def test_slow_request_log_feeds_stats(self, gateway, ghz3, connect):
+        client = connect(gateway.url, api_key="alice-key")
         client.compile(ghz3, backend="qiskit-o0", device="ibmq_washington")
         slow = client.stats()["gateway"]["slow_requests"]
         assert slow, "completed request missing from the slow-request log"
@@ -518,8 +543,8 @@ class TestObservabilityHTTP:
         assert rows and rows[0]["name"] == "gateway.request"
         assert {"service.request", "queue.wait"} <= {row["name"] for row in rows}
 
-    def test_sse_events_carry_the_trace_id(self, gateway, ghz3):
-        client = GatewayClient(gateway.url, api_key="alice-key")
+    def test_sse_events_carry_the_trace_id(self, gateway, ghz3, connect):
+        client = connect(gateway.url, api_key="alice-key")
         job_id = client.submit(ghz3, backend="qiskit-o0", trace_id="trace-sse-77")
         events = list(client.events(job_id, timeout=60))
         assert events[-1]["event"] == "done"
@@ -540,8 +565,8 @@ def _raw_response(gateway, request: bytes) -> tuple:
 
 
 class TestKeepAlive:
-    def test_sequential_requests_reuse_one_fast_connection(self, gateway):
-        client = GatewayClient(gateway.url)
+    def test_sequential_requests_reuse_one_fast_connection(self, gateway, connect):
+        client = connect(gateway.url)
         sockets, seconds = set(), []
         for _ in range(20):
             begin = time.perf_counter()
@@ -555,9 +580,9 @@ class TestKeepAlive:
         client.close()
         assert client._local.connection.sock is None
 
-    def test_connection_closed_while_idle_is_resent_once(self, gateway, monkeypatch):
+    def test_connection_closed_while_idle_is_resent_once(self, gateway, monkeypatch, connect):
         monkeypatch.setattr("repro.gateway.server._Handler.timeout", 0.2)
-        client = GatewayClient(gateway.url)
+        client = connect(gateway.url)
         assert client.healthz()["ready"]
         first = client._local.connection.sock
         time.sleep(0.6)  # the server has closed the idle connection by now
@@ -609,9 +634,9 @@ class TestKeepAlive:
         assert body["error"]["type"] == "bad_request"
         assert "Content-Length" in body["error"]["message"]
 
-    def test_close_shuts_kept_alive_connections(self, service):
+    def test_close_shuts_kept_alive_connections(self, service, connect):
         gw = GatewayServer(service, sample_interval=0)
-        client = GatewayClient(gw.url)
+        client = connect(gw.url)
         connection = http.client.HTTPConnection(*gw.address, timeout=10)
         try:
             assert client.healthz()["ready"]

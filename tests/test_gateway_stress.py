@@ -114,16 +114,16 @@ class TestNoLostJobs:
 
                 def tenant_thread(index: int) -> None:
                     try:
-                        client = GatewayClient(gw.url, api_key=f"key-{index}")
-                        barrier.wait(timeout=30)
-                        for n in range(self.N_PER_TENANT):
-                            # Overlapping seeds on purpose: the service cache
-                            # and coalescing must not lose gateway jobs either.
-                            job_ids[index].append(
-                                client.submit(
-                                    circuit, "gw-hammer", seed=n % 7, priority=n % 3
+                        with GatewayClient(gw.url, api_key=f"key-{index}") as client:
+                            barrier.wait(timeout=30)
+                            for n in range(self.N_PER_TENANT):
+                                # Overlapping seeds on purpose: the service cache
+                                # and coalescing must not lose gateway jobs either.
+                                job_ids[index].append(
+                                    client.submit(
+                                        circuit, "gw-hammer", seed=n % 7, priority=n % 3
+                                    )
                                 )
-                            )
                     except Exception as exc:  # noqa: BLE001 - surfaced after join
                         errors.append(exc)
 
@@ -142,14 +142,11 @@ class TestNoLostJobs:
                 assert len(all_ids) == total
                 assert len(set(all_ids)) == total, "duplicate job ids handed out"
 
-                clients = [
-                    GatewayClient(gw.url, api_key=f"key-{i}")
-                    for i in range(self.N_TENANTS)
-                ]
                 for index, per_tenant in enumerate(job_ids):
-                    for job_id in per_tenant:
-                        result = clients[index].result(job_id, timeout=120)
-                        assert result.succeeded, result.error
+                    with GatewayClient(gw.url, api_key=f"key-{index}") as client:
+                        for job_id in per_tenant:
+                            result = client.result(job_id, timeout=120)
+                            assert result.succeeded, result.error
 
                 # Accounting converges: every submitted job completed.
                 deadline = time.monotonic() + 30
@@ -190,16 +187,16 @@ class TestRateLimitIsolation:
 
                 def hammer(name: str) -> None:
                     try:
-                        client = GatewayClient(gw.url, api_key=f"{name}-key")
-                        barrier.wait(timeout=30)
-                        for n in range(15):
-                            try:
-                                job_id = client.submit(circuit, "gw-limit", seed=1000 + n)
-                                outcomes[name].append("accepted")
-                                if name == "polite":
-                                    polite_jobs.append(job_id)
-                            except GatewayError as exc:
-                                outcomes[name].append(exc)
+                        with GatewayClient(gw.url, api_key=f"{name}-key") as client:
+                            barrier.wait(timeout=30)
+                            for n in range(15):
+                                try:
+                                    job_id = client.submit(circuit, "gw-limit", seed=1000 + n)
+                                    outcomes[name].append("accepted")
+                                    if name == "polite":
+                                        polite_jobs.append(job_id)
+                                except GatewayError as exc:
+                                    outcomes[name].append(exc)
                     except Exception as exc:  # noqa: BLE001 - surfaced after join
                         errors.append(exc)
 
@@ -222,9 +219,9 @@ class TestRateLimitIsolation:
 
                 # The polite tenant is completely unaffected.
                 assert all(o == "accepted" for o in outcomes["polite"])
-                client = GatewayClient(gw.url, api_key="polite-key")
-                for job_id in polite_jobs:
-                    assert client.result(job_id, timeout=60).succeeded
+                with GatewayClient(gw.url, api_key="polite-key") as client:
+                    for job_id in polite_jobs:
+                        assert client.result(job_id, timeout=60).succeeded
 
                 tenant_stats = gw.registry.stats()
                 assert tenant_stats["greedy"]["rate_limited"] == len(greedy_429)
@@ -249,11 +246,12 @@ class TestFairShareOrdering:
             Tenant("ops", "ops-key", admin=True),
         ]
         with CompileService(max_workers=1, min_workers=1) as service:
-            with GatewayServer(service, tenants=tenants, sample_interval=0) as gw:
-                ops = GatewayClient(gw.url, api_key="ops-key")
-                heavy = GatewayClient(gw.url, api_key="heavy-key")
-                light = GatewayClient(gw.url, api_key="light-key")
-
+            with (
+                GatewayServer(service, tenants=tenants, sample_interval=0) as gw,
+                GatewayClient(gw.url, api_key="ops-key") as ops,
+                GatewayClient(gw.url, api_key="heavy-key") as heavy,
+                GatewayClient(gw.url, api_key="light-key") as light,
+            ):
                 # Saturate the lane: seed 0 blocks the only worker until released.
                 blocker = ops.submit(circuit, "gw-fair", seed=0)
                 assert backend.seed0_running.wait(timeout=60)

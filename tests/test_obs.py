@@ -670,6 +670,9 @@ class TestRemoteServiceTracing:
                 proc.wait(timeout=20)
             except subprocess.TimeoutExpired:  # pragma: no cover - stuck server
                 proc.kill()
+                proc.wait()
+            finally:
+                proc.stdout.close()
         assert remote.succeeded
         remote_tree = remote.metadata["trace"]
         assert remote_tree["trace_id"] == "trace-remote-0001"

@@ -165,6 +165,36 @@ class TestRouting:
         routed = SabreSwap(seed=1).run(placed, context)
         assert washington.mapping_satisfied(routed)
 
+    @pytest.mark.parametrize(
+        ("family", "width", "device_name"),
+        [
+            ("qftentangled", 7, "ibmq_montreal"),
+            ("pricingcall", 8, "ibmq_montreal"),
+            ("qftentangled", 10, "rigetti_aspen_m2"),
+        ],
+    )
+    def test_tket_routing_gives_up_within_its_swap_bound(
+        self, family, width, device_name, monkeypatch
+    ):
+        """Each case cycles through SWAPs that never free its blocked gate."""
+        device = get_device(device_name)
+        context = PassContext(device=device, seed=0)
+        native = BasisTranslator().run(benchmark_circuit(family, width), context)
+        placed = TrivialLayout().run(native, context)
+        choices = []
+        best_swap = TketRouting._best_swap
+
+        def counted(self, *args):
+            choices.append(args)
+            assert len(choices) < 20_000, "still routing after 20,000 SWAP choices"
+            return best_swap(self, *args)
+
+        monkeypatch.setattr(TketRouting, "_best_swap", counted)
+        with pytest.raises(RuntimeError, match="TKET routing failed to make progress"):
+            TketRouting().run(placed, context)
+        # The guard lets 10*n + 100 choices through for the blocked gate, then raises.
+        assert 10 * device.num_qubits + 100 <= len(choices) < 20_000
+
     def test_routing_on_non_cx_device_stays_native(self):
         device = get_device("oqc_lucy")
         circuit = random_circuit(4, 5, seed=9)

@@ -3,13 +3,18 @@
 from __future__ import annotations
 
 import math
+import pickle
 import re
 import time
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.circuit import QasmError, QuantumCircuit, from_qasm, random_circuit, to_qasm
+from repro.circuit import qasm as qasm_module
+from repro.circuit.gates import GATE_SPECS, Gate
 from repro.circuit.qasm import _eval_param, _format_param, _parse_param
 from repro.linalg import allclose_up_to_global_phase, circuit_unitary
 
@@ -254,3 +259,312 @@ class TestRoundTrip:
         ghz5.measure_all()
         rebuilt = from_qasm(to_qasm(ghz5))
         assert rebuilt.count_ops() == ghz5.count_ops()
+
+
+def _memo_circuit() -> QuantumCircuit:
+    circuit = QuantumCircuit(2)
+    circuit.h(0)
+    circuit.rz(math.pi / 4, 1)
+    circuit.cx(0, 1)
+    return circuit
+
+
+#: every way a circuit's encoded text can change after it was stored
+_MUTATIONS = {
+    "append": lambda c: c.append("h", [1]),
+    "append_instruction": lambda c: c.append_instruction(c[0]),
+    "extend": lambda c: c.extend([c[1]]),
+    "gate method": lambda c: c.ry(0.5, 0),
+    "measure": lambda c: c.measure(0, 1),
+    "measure_all": lambda c: c.measure_all(),
+    "reset": lambda c: c.reset(1),
+    "barrier": lambda c: c.barrier(),
+    "rebind same length": lambda c: setattr(c, "_instructions", c._instructions[::-1]),
+    "rebind shorter": lambda c: setattr(c, "_instructions", c._instructions[:1]),
+    "private list append": lambda c: c._instructions.append(c[0]),
+    "num_qubits": lambda c: setattr(c, "num_qubits", 3),
+    "num_clbits": lambda c: setattr(c, "num_clbits", 4),
+}
+
+
+class TestEncodeOnce:
+    def test_unchanged_circuit_returns_the_stored_text(self, monkeypatch):
+        circuit = _memo_circuit()
+        text = to_qasm(circuit)
+        encodes = []
+        real = qasm_module._encode
+        monkeypatch.setattr(qasm_module, "_encode", lambda c: encodes.append(c) or real(c))
+        assert to_qasm(circuit) is text
+        assert to_qasm(circuit) is text
+        assert encodes == []
+
+    @pytest.mark.parametrize("mutation", sorted(_MUTATIONS))
+    def test_every_mutation_gives_a_fresh_encode(self, mutation):
+        circuit = _memo_circuit()
+        before = to_qasm(circuit)
+        _MUTATIONS[mutation](circuit)
+        after = to_qasm(circuit)
+        assert after == qasm_module._encode(circuit)
+        assert after != before
+
+    def test_copy_encodes_its_own_text(self):
+        circuit = _memo_circuit()
+        text = to_qasm(circuit)
+        duplicate = circuit.copy()
+        assert to_qasm(duplicate) == text
+        duplicate.x(1)
+        assert to_qasm(duplicate) == qasm_module._encode(duplicate)
+        assert to_qasm(circuit) is text
+
+    def test_decoding_and_pickling_carry_no_stored_text(self):
+        circuit = _memo_circuit()
+        fresh = pickle.dumps(circuit)
+        text = to_qasm(circuit)
+        assert from_qasm(text)._qasm is None
+        assert pickle.dumps(circuit) == fresh
+        assert to_qasm(pickle.loads(fresh)) == text
+
+
+def _statements(text: str) -> list[str]:
+    return [
+        line for line in text.splitlines()
+        if line and not line.startswith(("OPENQASM", "include", "qreg", "creg"))
+    ]
+
+
+class TestDecodeOnePass:
+    def test_one_gate_per_distinct_name_and_parameter_text(self, monkeypatch):
+        circuit = random_circuit(4, 16, seed=5, measure=True)
+        circuit.barrier()
+        for _ in range(3):
+            circuit.rz(math.pi / 2, 0)
+            circuit.cx(0, 1)
+            circuit.measure(2, 2)
+        text = to_qasm(circuit)
+        statements = _statements(text)
+        distinct = {re.match(r"(\w+)(?:\(([^)]*)\))?", line).groups() for line in statements}
+        assert len(distinct) < len(statements)
+
+        built = []
+        real = Gate.__post_init__
+        monkeypatch.setattr(Gate, "__post_init__", lambda gate: built.append(gate) or real(gate))
+        decoded = from_qasm(text)
+        assert len(built) == len(distinct)
+        assert decoded == circuit
+        assert [i.clbits for i in decoded] == [i.clbits for i in circuit]
+
+    def test_duplicate_qubits_in_a_barrier_are_a_qasm_error(self):
+        with pytest.raises(QasmError, match=r"duplicate qubits .*barrier q\[0\],q\[0\]"):
+            from_qasm('OPENQASM 2.0;\nqreg q[2];\ncreg c[2];\nbarrier q[0],q[0];\n')
+
+
+def _reference_from_qasm(text: str) -> QuantumCircuit:
+    """The decoder before the one-pass rewrite: one Gate and append per statement.
+
+    One deliberate difference: a barrier with a repeated qubit raised a bare
+    ``ValueError`` there and is a ``QasmError`` here, as it is now.
+    """
+    m = qasm_module
+    if not isinstance(text, str):
+        raise QasmError(f"QASM input must be a string, got {type(text).__name__}")
+    qregs = m._Registers("quantum")
+    cregs = m._Registers("classical")
+    body: list[str] = []
+    for raw_line in text.splitlines():
+        line = raw_line.split("//")[0].strip()
+        if not line:
+            continue
+        if line.startswith(("OPENQASM", "include")):
+            continue
+        match = m._REG_DECL_RE.match(line)
+        if match:
+            if body:
+                raise QasmError(f"register declared after first statement: {line!r}")
+            regs = qregs if match.group("kind") == "qreg" else cregs
+            other = cregs if regs is qregs else qregs
+            if match.group("name") in other.offsets:
+                raise QasmError(f"duplicate register name {match.group('name')!r}: {line!r}")
+            regs.declare(match.group("name"), int(match.group("size")), line)
+            continue
+        if line.startswith(("qreg", "creg")):
+            raise QasmError(f"cannot parse register declaration: {line!r}")
+        body.append(line)
+
+    circuit = QuantumCircuit(qregs.total, cregs.total or None)
+    for line in body:
+        if line.startswith("measure"):
+            match = m._MEASURE_RE.match(line)
+            if not match:
+                raise QasmError(f"cannot parse measurement: {line!r}")
+            qubit = qregs.resolve(match.group("qreg"), int(match.group("qidx")), line)
+            clbit = cregs.resolve(match.group("creg"), int(match.group("cidx")), line)
+            circuit.measure(qubit, clbit)
+            continue
+        match = m._TOKEN_RE.match(line)
+        if not match:
+            raise QasmError(f"cannot parse QASM line: {line!r}")
+        name = match.group("name").lower()
+        name = m._FROM_QASM_NAME.get(name, name)
+        args = (match.group("args") or "").strip()
+        if name == "barrier":
+            qubits: list[int] = []
+            for arg in args.split(",") if args else []:
+                arg = arg.strip()
+                arg_match = m._ARG_RE.match(arg)
+                if not arg_match:
+                    raise QasmError(f"cannot parse operand {arg!r}: {line!r}")
+                if arg_match.group("index") is None:
+                    qubits.extend(qregs.expand(arg_match.group("name"), line))
+                else:
+                    qubits.append(
+                        qregs.resolve(
+                            arg_match.group("name"), int(arg_match.group("index")), line
+                        )
+                    )
+            try:
+                circuit.barrier(*qubits)
+            except ValueError as exc:
+                raise QasmError(f"{exc}: {line!r}") from None
+            continue
+        params_text = match.group("params")
+        params = (
+            [m._eval_param(p) for p in params_text.split(",")] if params_text else []
+        )
+        if name == "cu3":
+            name, params = "cu", params + [0.0]
+        if name not in GATE_SPECS:
+            raise QasmError(f"unsupported gate in QASM input: {name!r}")
+        if not args:
+            raise QasmError(f"gate {name!r} has no operands: {line!r}")
+        qubits = m._parse_gate_args(args, qregs, line)
+        try:
+            circuit.append(name, qubits, params)
+        except ValueError as exc:
+            raise QasmError(f"{exc}: {line!r}") from None
+    return circuit
+
+
+def _outcome(decode, text: str):
+    """A decoded circuit bit for bit, or the error; any other exception escapes."""
+    try:
+        circuit = decode(text)
+    except QasmError as exc:
+        return "QasmError", str(exc)
+    return (
+        circuit.num_qubits,
+        circuit.num_clbits,
+        [(i.name, [p.hex() for p in i.params], i.qubits, i.clbits) for i in circuit],
+    )
+
+
+_FUZZ_SETTINGS = settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+
+_NAMES = sorted(GATE_SPECS) + ["u1", "cu1", "cu3", "iden", "U1", "CX", "mystery"]
+_GOOD_PARAMS = ["0", "0.5", "-1e-3", "pi", "pi/2", "-pi*3/4", "--2.5e1", " pi ", "pi*1/8"]
+_PARAMS = _GOOD_PARAMS + ["pi*1/0", "1/0", "2**3", "pi*", "1e400-1e400", "", "x", "(pi+1)*2"]
+_OPERANDS = [
+    "q[0]", "q[1]", "q[2]", "q[3]", "r[0]", "r[1]", "q", "r", "c[0]", "q[9]", " q[1] ",
+    "", "q[x]", "q[0", "1q[0]",
+]
+_UNITARY = sorted(
+    name for name, spec in GATE_SPECS.items()
+    if spec.matrix_fn is not None and spec.num_qubits <= 4
+)
+
+
+@st.composite
+def _good_statement(draw) -> str:
+    """A statement that decodes on the registers ``q[4]`` and ``c[4]``."""
+    kind = draw(st.sampled_from(["gate", "gate", "gate", "measure", "barrier"]))
+    if kind == "measure":
+        return f"measure q[{draw(st.integers(0, 3))}] -> c[{draw(st.integers(0, 3))}];"
+    if kind == "barrier":
+        qubits = draw(st.lists(st.integers(0, 3), max_size=4, unique=True))
+        return "barrier " + ",".join(f"q[{q}]" for q in qubits) + ";"
+    spec = GATE_SPECS[draw(st.sampled_from(_UNITARY))]
+    qubits = draw(st.permutations(range(4)))[: spec.num_qubits]
+    params = [draw(st.sampled_from(_GOOD_PARAMS)) for _ in range(spec.num_params)]
+    params = "(" + ",".join(params) + ")" if params else ""
+    return f"{spec.name}{params} " + ",".join(f"q[{q}]" for q in qubits) + ";"
+
+
+@st.composite
+def _any_statement(draw) -> str:
+    """A statement built from parts that may not fit together."""
+    operands = st.lists(st.sampled_from(_OPERANDS), max_size=3).map(",".join)
+    kind = draw(st.sampled_from(["gate", "gate", "measure", "barrier", "other"]))
+    if kind == "gate":
+        params = draw(st.none() | st.lists(st.sampled_from(_PARAMS), max_size=4))
+        params = "" if params is None else "(" + ",".join(params) + ")"
+        return f"{draw(st.sampled_from(_NAMES))}{params} {draw(operands)};"
+    if kind == "measure":
+        source, target = draw(st.sampled_from(_OPERANDS)), draw(st.sampled_from(_OPERANDS))
+        return f"measure {source} -> {target};"
+    if kind == "barrier":
+        return f"barrier {draw(operands)};"
+    return draw(st.sampled_from(
+        ["", "// comment", "qreg z[1];", "creg q[1];", "!!;", "h q[0]", "measure q;"]
+    ))
+
+
+@st.composite
+def _qasm_texts(draw) -> str:
+    """Declarations and statements, mostly well formed, some not."""
+    lines = ["OPENQASM 2.0;", 'include "qelib1.inc";']
+    if draw(st.integers(0, 4)):
+        lines += ["qreg q[4];", "creg c[4];"]
+    else:
+        for _ in range(draw(st.integers(0, 3))):
+            kind = draw(st.sampled_from(["qreg", "creg"]))
+            name = draw(st.sampled_from(["q", "r", "c", "d"]))
+            lines.append(f"{kind} {name}[{draw(st.integers(0, 4))}];")
+    body = []
+    for _ in range(draw(st.integers(0, 16))):
+        odd = draw(st.integers(0, 24)) == 0
+        body.append(draw(_any_statement() if odd else _good_statement()))
+    # Repeat statements now and then, so shared gates and operands are exercised.
+    if body and draw(st.booleans()):
+        body += draw(st.lists(st.sampled_from(body), max_size=6))
+    return "\n".join(lines + body) + "\n"
+
+
+@st.composite
+def _mutated_texts(draw) -> str:
+    """A valid encoding of a random circuit with a few characters or statements changed."""
+    circuit = random_circuit(
+        draw(st.integers(1, 4)), draw(st.integers(1, 6)), seed=draw(st.integers(0, 2**16)),
+        measure=draw(st.booleans()),
+    )
+    lines = to_qasm(circuit).splitlines(keepends=True)
+    header, body = "".join(lines[:4]), "".join(lines[4:])
+    for _ in range(draw(st.integers(1, 2))):
+        position = draw(st.integers(0, len(body)))
+        action = draw(st.sampled_from(["delete", "insert", "replace", "repeat statement"]))
+        if action == "repeat statement":
+            lines = body.splitlines(keepends=True) or ["h q[0];\n"]
+            lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(lines)))
+            body = "".join(lines)
+            continue
+        char = draw(st.sampled_from(list("q[]();,->0123456789 pi*/+-.\nxc")))
+        end = position + (action != "insert")
+        body = body[:position] + ("" if action == "delete" else char) + body[end:]
+    return header + body
+
+
+class TestDecoderMatchesReference:
+    """Tenant text at the trust boundary: every input decodes to the same
+    circuit, or fails with the same ``QasmError``, as the reference decoder."""
+
+    @_FUZZ_SETTINGS
+    @given(text=_qasm_texts())
+    def test_generated_texts(self, text):
+        assert _outcome(from_qasm, text) == _outcome(_reference_from_qasm, text)
+
+    @_FUZZ_SETTINGS
+    @given(text=_mutated_texts())
+    def test_mutated_texts(self, text):
+        assert _outcome(from_qasm, text) == _outcome(_reference_from_qasm, text)
