@@ -76,7 +76,7 @@ from .pipeline import (
     TransformCache,
 )
 from .reward import combined_reward, critical_depth_reward, expected_fidelity
-from .rl import AsyncVectorEnv, SyncVectorEnv, VectorEnv, make_compilation_vec_env
+from .rl import SyncVectorEnv, make_compilation_vec_env
 from .service import (
     CacheServer,
     CompileService,
@@ -138,9 +138,7 @@ __all__ = [
     "DeadlineExceeded",
     "ServiceTimeout",
     # vectorised environment fleets (rollout collection at fleet throughput)
-    "VectorEnv",
     "SyncVectorEnv",
-    "AsyncVectorEnv",
     "make_compilation_vec_env",
     # removed shims kept as pointed errors (use repro.compile with a backend name)
     "expected_fidelity",

@@ -99,11 +99,22 @@ def _encode(circuit: QuantumCircuit) -> str:
     return "\n".join(lines) + "\n"
 
 
+#: One gate statement.  The parameter text runs to the last ``)`` before the
+#: operands, so nested groups like ``rz((pi+1)*2)`` reach the expression
+#: parser whole; operands hold no parentheses.  Tenant text reaches this
+#: regex, so each part has one way to match (the name ends where its
+#: characters do, the operands start at a non-space): a failing match costs
+#: time linear in the line, not cubic.
 _TOKEN_RE = re.compile(
-    r"^\s*(?P<name>[A-Za-z_][A-Za-z0-9_]*)\s*"
-    r"(?:\((?P<params>[^)]*)\))?\s*"
-    r"(?P<args>[^;]*);"
+    r"\s*(?P<name>[A-Za-z_][A-Za-z0-9_]*)(?![A-Za-z0-9_])\s*"
+    r"(?:\((?P<params>[^;]*)\)\s*)?"
+    r"(?P<args>(?:[^\s;()][^;()]*)?);"
 )
+
+#: Most qubits, and most clbits, one text may declare in total: far above the
+#: largest device (127 qubits), and a bound on what a short declaration can
+#: cost, since a bare ``barrier`` materialises every declared qubit.
+MAX_REGISTER_BITS = 1024
 
 _REG_DECL_RE = re.compile(r"^(?P<kind>qreg|creg)\s+(?P<name>\w+)\s*\[(?P<size>\d+)\]\s*;$")
 _ARG_RE = re.compile(r"^(?P<name>[A-Za-z_][A-Za-z0-9_]*)\s*(?:\[(?P<index>\d+)\])?$")
@@ -112,7 +123,9 @@ _MEASURE_RE = re.compile(
 )
 
 
-_NUMBER = r"[0-9]+\.?[0-9]*(?:[eE][+-]?[0-9]+)?|\.[0-9]+(?:[eE][+-]?[0-9]+)?"
+#: a float literal; every digit run has one place to go, so a long literal
+#: with a bad tail fails in linear time
+_NUMBER = r"[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?|\.[0-9]+(?:[eE][+-]?[0-9]+)?"
 
 #: one parameter-expression token: a float literal, ``pi``, or an operator
 _PARAM_TOKEN_RE = re.compile(rf"\s*(?:({_NUMBER})|(pi)|([-+*/()]))")
@@ -239,13 +252,19 @@ class _Registers:
         self.offsets: dict[str, tuple[int, int]] = {}  # name -> (offset, size)
         self.total = 0
 
-    def declare(self, name: str, size: int, line: str) -> None:
+    def declare(self, name: str, size_text: str, line: str) -> None:
         if name in self.offsets:
             raise QasmError(f"duplicate register name {name!r}: {line!r}")
+        # Count digits first, here and in resolve: int() refuses 4301 digits.
+        size = int(size_text) if len(size_text) <= 9 else MAX_REGISTER_BITS + 1
+        if self.total + size > MAX_REGISTER_BITS:
+            raise QasmError(
+                f"{self.kind} registers declare more than {MAX_REGISTER_BITS} bits: {line!r}"
+            )
         self.offsets[name] = (self.total, size)
         self.total += size
 
-    def resolve(self, name: str, index: int, line: str) -> int:
+    def resolve(self, name: str, index_text: str, line: str) -> int:
         entry = self.offsets.get(name)
         if entry is None:
             raise QasmError(
@@ -253,9 +272,10 @@ class _Registers:
                 f"(declared: {sorted(self.offsets) or 'none'}): {line!r}"
             )
         offset, size = entry
+        index = int(index_text) if len(index_text) <= 9 else size
         if not 0 <= index < size:
             raise QasmError(
-                f"index {index} out of range for {self.kind} register "
+                f"index {index_text} out of range for {self.kind} register "
                 f"{name}[{size}]: {line!r}"
             )
         return offset + index
@@ -287,7 +307,7 @@ def _parse_gate_args(args: str, qregs: _Registers, line: str) -> tuple[int, ...]
                 f"register broadcast ({arg!r} without an index) is not "
                 f"supported here: {line!r}"
             )
-        qubits.append(qregs.resolve(match.group("name"), int(match.group("index")), line))
+        qubits.append(qregs.resolve(match.group("name"), match.group("index"), line))
     return tuple(qubits)
 
 
@@ -295,7 +315,8 @@ def from_qasm(text: str) -> QuantumCircuit:
     """Parse an OpenQASM 2 string (the subset produced by :func:`to_qasm`).
 
     Raises :class:`QasmError` on malformed input: undeclared or duplicate
-    registers, out-of-range indices, unknown gates, or unparseable lines.
+    registers, more than :data:`MAX_REGISTER_BITS` qubits or clbits,
+    out-of-range indices, unknown gates, or unparseable lines.
     """
     if not isinstance(text, str):
         raise QasmError(f"QASM input must be a string, got {type(text).__name__}")
@@ -321,7 +342,7 @@ def from_qasm(text: str) -> QuantumCircuit:
             other = cregs if regs is qregs else qregs
             if match.group("name") in other.offsets:
                 raise QasmError(f"duplicate register name {match.group('name')!r}: {line!r}")
-            regs.declare(match.group("name"), int(match.group("size")), line)
+            regs.declare(match.group("name"), match.group("size"), line)
             continue
         raise QasmError(f"cannot parse register declaration: {line!r}")
 
@@ -345,8 +366,8 @@ def from_qasm(text: str) -> QuantumCircuit:
             match = _MEASURE_RE.match(line)
             if not match:
                 raise QasmError(f"cannot parse measurement: {line!r}")
-            qubit = qregs.resolve(match.group("qreg"), int(match.group("qidx")), line)
-            clbit = cregs.resolve(match.group("creg"), int(match.group("cidx")), line)
+            qubit = qregs.resolve(match.group("qreg"), match.group("qidx"), line)
+            clbit = cregs.resolve(match.group("creg"), match.group("cidx"), line)
             instructions.append(Instruction(fixed_gate("measure"), (qubit,), (clbit,)))
             continue
         match = _TOKEN_RE.match(line)
@@ -367,7 +388,7 @@ def from_qasm(text: str) -> QuantumCircuit:
                 else:
                     qubits.append(
                         qregs.resolve(
-                            arg_match.group("name"), int(arg_match.group("index")), line
+                            arg_match.group("name"), arg_match.group("index"), line
                         )
                     )
             gate = fixed_gate("barrier")

@@ -358,7 +358,7 @@ class CacheStore(ABC):
     store.  The default :class:`DictStore` is a private in-process dict; the
     compile-service subsystem provides a server-backed implementation
     (:class:`repro.service.SharedCacheStore`) so worker processes and
-    ``AsyncVectorEnv`` members can share one set of entries across process
+    sibling services can share one set of entries across process
     boundaries.  Stores own the eviction policy *and* the hit/miss/eviction
     counters, so shared stores aggregate statistics across every client.
     """

@@ -6,13 +6,11 @@ from .env import Env
 from .networks import MLP, Adam
 from .ppo import PPO, PPOConfig, TrainingSummary
 from .spaces import Box, Discrete
-from .vecenv import AsyncVectorEnv, SyncVectorEnv, VectorEnv, make_compilation_vec_env
+from .vecenv import SyncVectorEnv, make_compilation_vec_env
 
 __all__ = [
     "Env",
-    "VectorEnv",
     "SyncVectorEnv",
-    "AsyncVectorEnv",
     "make_compilation_vec_env",
     "Box",
     "Discrete",

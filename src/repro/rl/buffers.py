@@ -2,7 +2,7 @@
 
 The buffer is shaped ``(n_steps, n_envs, ...)`` so one instance serves both
 the single-environment loop (``n_envs=1``) and vectorised rollouts collected
-from a :class:`~repro.rl.vecenv.VectorEnv` fleet.
+from a :class:`~repro.rl.vecenv.SyncVectorEnv` fleet.
 
 Episode ends are stored as two separate flags per step:
 

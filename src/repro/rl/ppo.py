@@ -19,7 +19,7 @@ from .buffers import RolloutBuffer
 from .distributions import MaskedCategorical
 from .env import Env
 from .networks import MLP, Adam
-from .vecenv import SyncVectorEnv, VectorEnv
+from .vecenv import SyncVectorEnv
 
 __all__ = ["PPOConfig", "PPO", "TrainingSummary"]
 
@@ -65,9 +65,9 @@ class PPO:
     drew a fresh reset seed from the agent's RNG per episode.)
     """
 
-    def __init__(self, env: "Env | VectorEnv", config: PPOConfig | None = None, seed: int = 0):
+    def __init__(self, env: "Env | SyncVectorEnv", config: PPOConfig | None = None, seed: int = 0):
         self.env = env
-        self.vec_env = env if isinstance(env, VectorEnv) else SyncVectorEnv.from_envs([env])
+        self.vec_env = env if isinstance(env, SyncVectorEnv) else SyncVectorEnv.from_envs([env])
         self.config = config or PPOConfig()
         self.rng = np.random.default_rng(seed)
         obs_dim = int(np.prod(self.vec_env.observation_space.shape))

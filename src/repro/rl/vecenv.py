@@ -2,90 +2,43 @@
 
 Training throughput of the RL compiler is bounded by how fast rollouts are
 collected, and a single :class:`~repro.core.environment.CompilationEnv` steps
-one circuit at a time.  This module adds the fleet layer:
+one circuit at a time.  :class:`SyncVectorEnv` steps N environments
+in-process.  For compilation fleets built through
+:func:`make_compilation_vec_env` the members share one
+:class:`~repro.pipeline.AnalysisCache` *and* one
+:class:`~repro.pipeline.TransformCache`, and derive pass seeds from the
+circuit state (``seed_mode="state"``), so any member applying an action to a
+circuit state the fleet has seen before reuses the compiled result instead of
+re-running the pass.  Training rollouts revisit the same (state, action)
+pairs constantly — the same initial circuits every epoch, converging policies
+replaying the same flows — which is where the fleet's aggregate
+env-steps/sec multiplier comes from on a single core.
 
-* :class:`SyncVectorEnv` steps N environments in-process.  For compilation
-  fleets built through :func:`make_compilation_vec_env` the members share one
-  :class:`~repro.pipeline.AnalysisCache` *and* one
-  :class:`~repro.pipeline.TransformCache`, and derive pass seeds from the
-  circuit state (``seed_mode="state"``), so any member applying an action to
-  a circuit state the fleet has seen before reuses the compiled result
-  instead of re-running the pass.  Training rollouts revisit the same
-  (state, action) pairs constantly — the same initial circuits every epoch,
-  converging policies replaying the same flows — which is where the fleet's
-  aggregate env-steps/sec multiplier comes from on a single core.
-* :class:`AsyncVectorEnv` runs each environment in its own worker process
-  (GIL-free stepping) behind the same API.  Worker processes cannot share
-  in-memory caches; on multi-core machines they trade cache sharing for true
-  parallelism.
-
-Both implement the :class:`VectorEnv` contract: batched ``reset`` /
-``step`` / ``action_masks`` with **auto-reset** semantics — when a member's
-episode ends, the member is reset immediately and the *initial* observation
-of the next episode is returned, while the final observation and info of the
-finished episode are surfaced in ``infos["final_observation"]`` /
-``infos["final_info"]``.  PPO needs the final observation to bootstrap the
-value of truncated states.
+The fleet offers batched ``reset`` / ``step`` / ``action_masks`` with
+**auto-reset** semantics — when a member's episode ends, the member is reset
+immediately and the *initial* observation of the next episode is returned,
+while the final observation and info of the finished episode are surfaced in
+``infos["final_observation"]`` / ``infos["final_info"]``.  PPO needs the
+final observation to bootstrap the value of truncated states.
 """
 
 from __future__ import annotations
 
-import multiprocessing as mp
-import traceback
-from abc import ABC, abstractmethod
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .env import Env
-from .spaces import Box, Discrete
 
-__all__ = [
-    "VectorEnv",
-    "SyncVectorEnv",
-    "AsyncVectorEnv",
-    "make_compilation_vec_env",
-]
+__all__ = ["SyncVectorEnv", "make_compilation_vec_env"]
 
 
-class VectorEnv(ABC):
-    """N environments behind one batched reset/step/action_masks API.
+class SyncVectorEnv:
+    """N environments stepped sequentially in one loop behind a batched API.
 
     ``observation_space`` and ``action_space`` describe a *single* member
     environment; batched arrays carry a leading ``num_envs`` axis.
     """
-
-    num_envs: int
-    observation_space: Box
-    action_space: Discrete
-
-    @abstractmethod
-    def reset(self, *, seed: int | None = None) -> tuple[np.ndarray, list[dict]]:
-        """Reset every member; member ``i`` is seeded with ``seed + i``."""
-
-    @abstractmethod
-    def step(
-        self, actions: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, dict]:
-        """Step every member with its action; auto-reset finished episodes.
-
-        Returns ``(observations, rewards, terminated, truncated, infos)``
-        with arrays of shape ``(num_envs, ...)``.  ``infos`` is a dict with
-        per-env lists under ``"infos"``, and — for members whose episode just
-        ended — the pre-reset observation/info under ``"final_observation"``
-        and ``"final_info"`` (``None`` elsewhere).
-        """
-
-    @abstractmethod
-    def action_masks(self) -> np.ndarray:
-        """Stacked ``(num_envs, n_actions)`` boolean masks of valid actions."""
-
-    def close(self) -> None:  # pragma: no cover - nothing to clean up by default
-        """Release member environments and any worker processes."""
-
-
-class SyncVectorEnv(VectorEnv):
-    """In-process fleet: steps its members sequentially in one loop."""
 
     def __init__(self, env_fns: Sequence[Callable[[], Env]]):
         if not env_fns:
@@ -101,6 +54,7 @@ class SyncVectorEnv(VectorEnv):
         return cls([(lambda env=env: env) for env in envs])
 
     def reset(self, *, seed: int | None = None) -> tuple[np.ndarray, list[dict]]:
+        """Reset every member; member ``i`` is seeded with ``seed + i``."""
         observations = []
         infos = []
         for i, env in enumerate(self.envs):
@@ -110,6 +64,14 @@ class SyncVectorEnv(VectorEnv):
         return np.stack(observations), infos
 
     def step(self, actions) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, dict]:
+        """Step every member with its action; auto-reset finished episodes.
+
+        Returns ``(observations, rewards, terminated, truncated, infos)``
+        with arrays of shape ``(num_envs, ...)``.  ``infos`` is a dict with
+        per-env lists under ``"infos"``, and — for members whose episode just
+        ended — the pre-reset observation/info under ``"final_observation"``
+        and ``"final_info"`` (``None`` elsewhere).
+        """
         actions = np.asarray(actions)
         if actions.shape != (self.num_envs,):
             raise ValueError(f"expected {self.num_envs} actions, got shape {actions.shape}")
@@ -136,6 +98,7 @@ class SyncVectorEnv(VectorEnv):
         return np.stack(observations), rewards, terminated, truncated, infos
 
     def action_masks(self) -> np.ndarray:
+        """Stacked ``(num_envs, n_actions)`` boolean masks of valid actions."""
         return np.stack([env.action_masks() for env in self.envs])
 
     def close(self) -> None:
@@ -143,220 +106,27 @@ class SyncVectorEnv(VectorEnv):
             env.close()
 
 
-def _async_worker(remote, parent_remote, env_fn) -> None:
-    """Worker loop: owns one environment, serves commands over a pipe.
-
-    Environment exceptions are caught and sent back as ``("error", text)``
-    replies — the worker stays alive, the parent re-raises with the worker's
-    traceback — so a bad action surfaces like it would in-process instead of
-    killing the pipe.
-    """
-    parent_remote.close()
-    env = env_fn()
-    try:
-        while True:
-            command, data = remote.recv()
-            if command == "close":
-                remote.send(("ok", None))
-                break
-            try:
-                if command == "reset":
-                    payload = env.reset(seed=data)
-                elif command == "step":
-                    obs, reward, term, trunc, info = env.step(data)
-                    final_obs = final_info = None
-                    if term or trunc:
-                        final_obs, final_info = obs, info
-                        obs, _ = env.reset()
-                    payload = (obs, reward, term, trunc, info, final_obs, final_info)
-                elif command == "masks":
-                    payload = env.action_masks()
-                elif command == "spaces":
-                    payload = (env.observation_space, env.action_space)
-                else:
-                    raise RuntimeError(f"unknown worker command {command!r}")
-            except Exception:  # noqa: BLE001 - forwarded to the parent
-                remote.send(("error", traceback.format_exc()))
-                continue
-            remote.send(("ok", payload))
-    except (EOFError, KeyboardInterrupt):  # pragma: no cover - parent died
-        pass
-    finally:
-        env.close()
-        remote.close()
-
-
-class AsyncVectorEnv(VectorEnv):
-    """Process-backed fleet: one worker process per member, stepped in parallel.
-
-    All members receive their command before any result is collected, so the
-    wall time of one fleet step is the *maximum* of the member step times
-    (plus IPC), not their sum — the GIL does not serialise env stepping.
-
-    With the default ``fork`` start method the environment factories may be
-    closures; under ``spawn`` they must be picklable (module-level functions
-    or ``functools.partial``).  Worker processes cannot share in-memory
-    caches with each other or the parent.
-    """
-
-    def __init__(self, env_fns: Sequence[Callable[[], Env]], *, context: str | None = None):
-        if not env_fns:
-            raise ValueError("AsyncVectorEnv needs at least one environment")
-        ctx = mp.get_context(context)
-        self.num_envs = len(env_fns)
-        self._remotes = []
-        self._processes = []
-        for env_fn in env_fns:
-            remote, worker_remote = ctx.Pipe()
-            process = ctx.Process(
-                target=_async_worker, args=(worker_remote, remote, env_fn), daemon=True
-            )
-            process.start()
-            worker_remote.close()
-            self._remotes.append(remote)
-            self._processes.append(process)
-        self._closed = False
-        # Ask the first worker for the (single-env) spaces rather than
-        # building a throwaway member in the parent.
-        self._remotes[0].send(("spaces", None))
-        self.observation_space, self.action_space = self._collect([self._remotes[0]])[0]
-
-    def _collect(self, remotes) -> list:
-        """Receive one reply per remote; drain all pipes before raising.
-
-        Draining keeps the fleet synchronised even when one worker reports
-        an error — no stale replies are left behind to corrupt the next
-        command round.
-        """
-        replies = [remote.recv() for remote in remotes]
-        errors = [payload for status, payload in replies if status == "error"]
-        if errors:
-            raise RuntimeError(
-                "AsyncVectorEnv worker failed:\n" + "\n".join(errors)
-            )
-        return [payload for _status, payload in replies]
-
-    def reset(self, *, seed: int | None = None) -> tuple[np.ndarray, list[dict]]:
-        for i, remote in enumerate(self._remotes):
-            remote.send(("reset", None if seed is None else seed + i))
-        observations, infos = zip(*self._collect(self._remotes))
-        return np.stack(observations), list(infos)
-
-    def step(self, actions) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, dict]:
-        actions = np.asarray(actions)
-        if actions.shape != (self.num_envs,):
-            raise ValueError(f"expected {self.num_envs} actions, got shape {actions.shape}")
-        for remote, action in zip(self._remotes, actions):
-            remote.send(("step", int(action)))
-        observations = []
-        rewards = np.zeros(self.num_envs)
-        terminated = np.zeros(self.num_envs, dtype=bool)
-        truncated = np.zeros(self.num_envs, dtype=bool)
-        infos: dict = {
-            "infos": [None] * self.num_envs,
-            "final_observation": [None] * self.num_envs,
-            "final_info": [None] * self.num_envs,
-        }
-        for i, payload in enumerate(self._collect(self._remotes)):
-            obs, reward, term, trunc, info, final_obs, final_info = payload
-            observations.append(obs)
-            rewards[i] = reward
-            terminated[i] = term
-            truncated[i] = trunc
-            infos["infos"][i] = info
-            infos["final_observation"][i] = final_obs
-            infos["final_info"][i] = final_info
-        return np.stack(observations), rewards, terminated, truncated, infos
-
-    def action_masks(self) -> np.ndarray:
-        for remote in self._remotes:
-            remote.send(("masks", None))
-        return np.stack(self._collect(self._remotes))
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        for remote in self._remotes:
-            try:
-                remote.send(("close", None))
-                remote.recv()
-            except (BrokenPipeError, EOFError):  # pragma: no cover - worker gone
-                pass
-            remote.close()
-        for process in self._processes:
-            process.join(timeout=5)
-            if process.is_alive():  # pragma: no cover - stuck worker
-                process.terminate()
-
-    def __del__(self):  # pragma: no cover - best-effort cleanup
-        try:
-            self.close()
-        except Exception:
-            pass
-
-
-class _CompilationEnvFactory:
-    """Picklable factory building one fleet member (used by the async path).
-
-    ``shared_store``, when given, is a picklable
-    :class:`~repro.pipeline.CacheStore` client (e.g. a
-    :class:`~repro.service.SharedCacheStore`): the member's
-    ``TransformCache`` is built over it *inside the worker process*, so every
-    member of the fleet — each in its own process — shares one set of pass
-    memos through the cache server.
-    """
-
-    def __init__(self, circuits, kwargs, shared_store=None):
-        self.circuits = circuits
-        self.kwargs = kwargs
-        self.shared_store = shared_store
-
-    def __call__(self) -> Env:
-        from ..core.environment import CompilationEnv
-        from ..pipeline import TransformCache
-
-        kwargs = dict(self.kwargs)
-        if self.shared_store is not None:
-            kwargs["transform_cache"] = TransformCache(store=self.shared_store)
-            kwargs["seed_mode"] = "state"
-        return CompilationEnv(self.circuits, **kwargs)
-
-
 def make_compilation_vec_env(
     circuits,
     n_envs: int,
     *,
-    backend: str = "sync",
     reward: str = "fidelity",
     device_name: str | None = None,
     max_steps: int = 30,
     seed: int = 0,
-    share_work: bool = True,
-    shared_store=None,
-) -> VectorEnv:
+) -> SyncVectorEnv:
     """Build a fleet of N :class:`~repro.core.environment.CompilationEnv`\\ s.
 
     All members train on the same circuit list; decorrelation comes from the
-    per-member reset seeds (:meth:`VectorEnv.reset` seeds member ``i`` with
-    ``seed + i``), which drive each member's independent per-epoch shuffle of
-    the episode order — members cover different circuits at any instant while
-    every member still sees the whole list each epoch.
+    per-member reset seeds (:meth:`SyncVectorEnv.reset` seeds member ``i``
+    with ``seed + i``), which drive each member's independent per-epoch
+    shuffle of the episode order — members cover different circuits at any
+    instant while every member still sees the whole list each epoch.
 
-    With ``share_work=True`` (sync fleets only) the members share one
-    :class:`~repro.pipeline.AnalysisCache` and one
+    The members share one :class:`~repro.pipeline.AnalysisCache` and one
     :class:`~repro.pipeline.TransformCache` and use state-keyed pass seeds
     (``seed_mode="state"``): applying a pass to a circuit state is done once
-    per fleet, not once per member.  Async fleets live in separate processes
-    and build private in-memory caches — *unless* ``shared_store`` is given.
-
-    ``shared_store`` (a picklable :class:`~repro.pipeline.CacheStore` client,
-    typically :meth:`repro.service.CacheServer.store`) opts a fleet into the
-    server-backed ``TransformCache``: every member keys pass applications by
-    state (``seed_mode="state"``) and memoises them in the cache server, so
-    process fleets share pass results across process boundaries the way sync
-    fleets share them in memory.  Worth it when pass applications are
-    expensive relative to one round trip to the cache server.
+    per fleet, not once per member.
     """
     if n_envs < 1:
         raise ValueError("n_envs must be at least 1")
@@ -364,49 +134,26 @@ def make_compilation_vec_env(
     if not circuits:
         raise ValueError("make_compilation_vec_env needs at least one circuit")
 
-    def member_kwargs() -> dict:
-        return {
-            "reward": reward,
-            "device_name": device_name,
-            "max_steps": max_steps,
-            "seed": seed,
-        }
-
-    if backend == "async":
-        factories = [
-            _CompilationEnvFactory(circuits, member_kwargs(), shared_store=shared_store)
-            for _ in range(n_envs)
-        ]
-        return AsyncVectorEnv(factories)
-    if backend != "sync":
-        raise ValueError(f"unknown vecenv backend {backend!r} (use 'sync' or 'async')")
-
     from ..core.environment import CompilationEnv
     from ..pipeline import AnalysisCache, TransformCache
 
-    shared_kwargs = member_kwargs()
-    if shared_store is not None:
-        # Each member wraps the same server-backed store; the entries (and
-        # the hit/miss counters) live in the cache server.
-        shared_kwargs["analysis_cache"] = AnalysisCache()
-        shared_kwargs["seed_mode"] = "state"
-        shared_kwargs["analysis_cache"].warm_features(circuits)
-        envs = [
-            CompilationEnv(
-                circuits,
-                **shared_kwargs,
-                transform_cache=TransformCache(store=shared_store),
-            )
-            for _ in range(n_envs)
-        ]
-        return SyncVectorEnv.from_envs(envs)
-    if share_work:
-        shared_kwargs["analysis_cache"] = AnalysisCache()
-        shared_kwargs["transform_cache"] = TransformCache()
-        shared_kwargs["seed_mode"] = "state"
-        # Pre-warm the fleet's shared cache with one batched feature sweep:
-        # every member's first observation of every training circuit is a
-        # cache hit instead of a cold per-circuit extraction.
-        shared_kwargs["analysis_cache"].warm_features(circuits)
-    envs = [CompilationEnv(circuits, **shared_kwargs) for _ in range(n_envs)]
+    analysis_cache = AnalysisCache()
+    # Pre-warm the fleet's shared cache with one batched feature sweep:
+    # every member's first observation of every training circuit is a
+    # cache hit instead of a cold per-circuit extraction.
+    analysis_cache.warm_features(circuits)
+    transform_cache = TransformCache()
+    envs = [
+        CompilationEnv(
+            circuits,
+            reward=reward,
+            device_name=device_name,
+            max_steps=max_steps,
+            seed=seed,
+            analysis_cache=analysis_cache,
+            transform_cache=transform_cache,
+            seed_mode="state",
+        )
+        for _ in range(n_envs)
+    ]
     return SyncVectorEnv.from_envs(envs)

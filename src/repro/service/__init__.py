@@ -14,9 +14,9 @@ runs every sweep on:
   (request latency is the ``service.request`` row) via
   :meth:`CompileService.stats`.
 * :class:`CacheServer` / :class:`SharedCacheStore` — a cache server process
-  plus picklable store clients, so pool workers, other services and
-  ``AsyncVectorEnv`` members share ``CompilationCache`` / ``TransformCache``
-  entries across process boundaries.
+  plus picklable store clients, so pool workers and other services share
+  ``CompilationCache`` / ``TransformCache`` entries across process
+  boundaries.
 * :class:`ServiceClient` — the caller API (``submit`` → future,
   ``submit_many``, ``result``, ``stats``), identical against an in-process
   service or a ``python -m repro.service`` server.

@@ -32,8 +32,8 @@ on one (short-lived unless the caller passes its own).
 * **Server-backed shared cache** — pass ``store=CacheServer().store()`` and
   the service cache lives behind a cache server: process-lane workers check
   and fill it from inside their worker processes, and anything else holding
-  a client of the same server (another service, an ``AsyncVectorEnv``
-  fleet) shares the entries too.  A cost-aware store
+  a client of the same server (another service, an ``LruCache`` built over
+  ``server.store()``) shares the entries too.  A cost-aware store
   (:class:`~repro.pipeline.CostAwareStore`) keeps expensive compilations
   resident and evicts cheap-to-recompute entries first.
 * **Metrics** — ``stats()`` reports queue depth, in-flight count,

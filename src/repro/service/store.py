@@ -3,15 +3,15 @@
 The in-process caches (:class:`~repro.pipeline.TransformCache`, the batch
 service's ``CompilationCache``) keep their entries in a private
 :class:`~repro.pipeline.DictStore` — invisible to worker processes, so a
-``ProcessPoolExecutor`` lane or an ``AsyncVectorEnv`` fleet recomputes what a
-sibling process already produced.  This module closes that gap:
+``ProcessPoolExecutor`` lane or a sibling service recomputes what another
+process already produced.  This module closes that gap:
 
 * :class:`CacheServer` hosts one :class:`~repro.pipeline.DictStore` in a
   dedicated manager process and hands out connection credentials;
 * :class:`SharedCacheStore` is a picklable client implementing the
   :class:`~repro.pipeline.CacheStore` protocol over that server.  Any cache
-  built with ``store=shared_store`` — in the parent, in a pool worker, in a
-  vec-env member process — reads and writes the *same* entries, and the
+  built with ``store=shared_store`` — in the parent, in a pool worker, in
+  another service — reads and writes the *same* entries, and the
   hit/miss/eviction counters aggregate across all of them (which is how the
   service's cross-worker-hit metrics are measured).
 
@@ -63,7 +63,7 @@ class SharedCacheStore(CacheStore):
 
     Connects lazily (and per process — the proxy is dropped on pickling and
     re-established on first use), so instances can be shipped to pool workers
-    and ``AsyncVectorEnv`` member processes as plain constructor arguments.
+    as plain constructor arguments.
     One instance is safe to use from multiple threads: manager proxies keep
     one connection per thread.
     """

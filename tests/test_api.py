@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import importlib
+
 import pytest
 
 import repro
@@ -175,6 +177,21 @@ class TestRemovedShims:
         from repro.core import CompilationResult as CoreResult
 
         assert CoreResult is CompilationResult
+
+
+class TestPublicSurface:
+    @pytest.mark.parametrize("module", ["repro", "repro.rl", "repro.service", "repro.pipeline"])
+    def test_every_exported_name_resolves(self, module):
+        package = importlib.import_module(module)
+        missing = [name for name in package.__all__ if not hasattr(package, name)]
+        assert missing == []
+        assert len(set(package.__all__)) == len(package.__all__)
+
+    @pytest.mark.parametrize("name", ["AsyncVectorEnv", "VectorEnv"])
+    def test_removed_fleet_classes_are_not_exported(self, name):
+        for package in (repro, repro.rl):
+            assert name not in package.__all__
+            assert not hasattr(package, name)
 
 
 class TestBatchCompilation:

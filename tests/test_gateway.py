@@ -290,6 +290,15 @@ class TestGatewayHTTP:
         assert excinfo.value.error_type == "qasm_error"
         assert "out of range" in str(excinfo.value)
 
+    def test_oversized_register_is_400_qasm_error(self, gateway, connect):
+        client = connect(gateway.url, api_key="alice-key")
+        qubits = qasm.MAX_REGISTER_BITS + 1
+        with pytest.raises(GatewayError) as excinfo:
+            client.compile(f"qreg q[{qubits}];\nh q[0];", backend="qiskit-o0")
+        assert excinfo.value.status == 400
+        assert excinfo.value.error_type == "qasm_error"
+        assert "more than" in str(excinfo.value)
+
     def test_unknown_backend_is_400(self, gateway, ghz3, connect):
         client = connect(gateway.url, api_key="alice-key")
         with pytest.raises(GatewayError) as excinfo:

@@ -66,6 +66,15 @@ class TestImport:
         circuit = from_qasm('OPENQASM 2.0;\nqreg q[1];\ncreg c[1];\nrz(pi/4) q[0];\n')
         assert circuit[0].params[0] == pytest.approx(math.pi / 4)
 
+    def test_nested_parentheses_in_parameters(self):
+        circuit = from_qasm(
+            'OPENQASM 2.0;\nqreg q[2];\ncreg c[2];\n'
+            "rz((pi+1)*2) q[0];\nu3((pi/2),-((1+2)*(pi)),((0))) q[1];\n"
+        )
+        assert circuit[0].params == ((math.pi + 1) * 2,)
+        assert circuit[1].params == (math.pi / 2, -((1 + 2) * math.pi), 0.0)
+        assert circuit[1].qubits == (1,)
+
     def test_u1_maps_to_p(self):
         circuit = from_qasm('OPENQASM 2.0;\nqreg q[1];\ncreg c[1];\nu1(0.5) q[0];\n')
         assert circuit[0].name == "p"
@@ -152,6 +161,39 @@ class TestMalformedInput:
     def test_barrier_undeclared_register(self):
         with pytest.raises(QasmError, match="undeclared"):
             from_qasm('OPENQASM 2.0;\nqreg q[3];\ncreg c[3];\nbarrier r;\n')
+
+    def test_register_sizes_are_bounded(self):
+        limit = qasm_module.MAX_REGISTER_BITS
+        start = time.perf_counter()
+        for declarations in (
+            f"qreg q[{100 * limit}];",
+            f"qreg q[{limit}];\nqreg r[1];",
+            f"qreg q[1];\ncreg c[{limit + 1}];",
+            "qreg q[" + "9" * 5000 + "];",
+        ):
+            with pytest.raises(QasmError, match=f"more than {limit} bits"):
+                from_qasm(f"OPENQASM 2.0;\n{declarations}\nbarrier;\nbarrier q;\n")
+        assert time.perf_counter() - start < 1.0
+        circuit = from_qasm(f"OPENQASM 2.0;\nqreg q[{limit}];\ncreg c[{limit}];\nbarrier;\n")
+        assert circuit.num_qubits == circuit.num_clbits == limit
+        assert len(circuit[0].qubits) == limit
+
+    @pytest.mark.parametrize(
+        "statement", ["h q[{}];", "barrier q[{}];", "measure q[{}] -> c[0];", "measure q[0] -> c[{}];"]
+    )
+    def test_huge_index_is_out_of_range(self, statement):
+        with pytest.raises(QasmError, match="out of range"):
+            from_qasm(self.HEADER + statement.format("1" * 5000) + "\n")
+
+    def test_long_malformed_lines_fail_fast(self):
+        start = time.perf_counter()
+        for line in ("h" + " " * 2000 + "x", "a" * 20000, "h(" + ") " * 10000):
+            with pytest.raises(QasmError, match="cannot parse QASM line"):
+                from_qasm(self.HEADER + line + "\n")
+        for params in ("1" * 20000 + "x", "-" + "7" * 20000 + "e"):
+            with pytest.raises(QasmError, match="parameter expression"):
+                from_qasm(self.HEADER + f"rz({params}) q[0];\n")
+        assert time.perf_counter() - start < 1.0
 
 
 def _format_reference(value: float) -> str:
@@ -362,7 +404,9 @@ def _reference_from_qasm(text: str) -> QuantumCircuit:
     """The decoder before the one-pass rewrite: one Gate and append per statement.
 
     One deliberate difference: a barrier with a repeated qubit raised a bare
-    ``ValueError`` there and is a ``QasmError`` here, as it is now.
+    ``ValueError`` there and is a ``QasmError`` here, as it is now.  It shares
+    the module's statement regex and register table, so it reads nested
+    parameter parentheses and bounds register sizes as the decoder does.
     """
     m = qasm_module
     if not isinstance(text, str):
@@ -384,7 +428,7 @@ def _reference_from_qasm(text: str) -> QuantumCircuit:
             other = cregs if regs is qregs else qregs
             if match.group("name") in other.offsets:
                 raise QasmError(f"duplicate register name {match.group('name')!r}: {line!r}")
-            regs.declare(match.group("name"), int(match.group("size")), line)
+            regs.declare(match.group("name"), match.group("size"), line)
             continue
         if line.startswith(("qreg", "creg")):
             raise QasmError(f"cannot parse register declaration: {line!r}")
@@ -396,8 +440,8 @@ def _reference_from_qasm(text: str) -> QuantumCircuit:
             match = m._MEASURE_RE.match(line)
             if not match:
                 raise QasmError(f"cannot parse measurement: {line!r}")
-            qubit = qregs.resolve(match.group("qreg"), int(match.group("qidx")), line)
-            clbit = cregs.resolve(match.group("creg"), int(match.group("cidx")), line)
+            qubit = qregs.resolve(match.group("qreg"), match.group("qidx"), line)
+            clbit = cregs.resolve(match.group("creg"), match.group("cidx"), line)
             circuit.measure(qubit, clbit)
             continue
         match = m._TOKEN_RE.match(line)
@@ -418,7 +462,7 @@ def _reference_from_qasm(text: str) -> QuantumCircuit:
                 else:
                     qubits.append(
                         qregs.resolve(
-                            arg_match.group("name"), int(arg_match.group("index")), line
+                            arg_match.group("name"), arg_match.group("index"), line
                         )
                     )
             try:

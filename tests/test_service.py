@@ -16,7 +16,7 @@ import pytest
 import repro
 from repro.api.batch import compile_batch
 from repro.bench import benchmark_circuit
-from repro.pipeline import CostAwareStore, DictStore, LruCache, TransformCache
+from repro.pipeline import CostAwareStore, DictStore, LruCache
 from repro.service import CacheServer, CompileService, ServiceClient, SharedCacheStore
 from repro.service.service import _Lane
 
@@ -609,73 +609,6 @@ class TestRemoteService:
             ServiceClient()
         with pytest.raises(ValueError):
             ServiceClient(address=("127.0.0.1", 1))  # authkey missing
-
-
-# ---------------------------------------------------------------------------------
-# vec-env fleets over the shared store
-# ---------------------------------------------------------------------------------
-
-
-class TestVecEnvSharedStore:
-    FLOW = [
-        "synthesis_basis_translator",
-        "optimize_optimize_1q_gates",
-        "map_dense_layout_sabre_routing",
-        "optimize_cx_cancellation",
-        "terminate",
-    ]
-
-    def _drive(self, vec, n_envs, episodes):
-        probe = repro.CompilationEnv(
-            [benchmark_circuit("ghz", 4)], device_name="ibmq_washington", max_steps=25, seed=3
-        )
-        probe.reset()
-        vec.reset(seed=3)
-        for _ in range(episodes):
-            for name in self.FLOW:
-                index = probe.action_by_name(name).index
-                vec.step(np.full(n_envs, index))
-
-    def test_async_fleet_shares_transforms_through_server(self, cache_server):
-        cache_server.store().clear()
-        circuits = [benchmark_circuit("ghz", 4)]
-        vec = repro.make_compilation_vec_env(
-            circuits,
-            2,
-            backend="async",
-            device_name="ibmq_washington",
-            max_steps=25,
-            seed=3,
-            shared_store=cache_server.store(),
-        )
-        try:
-            self._drive(vec, 2, episodes=2)
-        finally:
-            vec.close()
-        stats = cache_server.stats()
-        # Both worker processes memoise into the server: the second member
-        # (and the second episode) must be served from it.
-        assert stats["hits"] > 0
-        assert stats["entries"] > 0
-
-    def test_sync_fleet_accepts_shared_store(self, cache_server):
-        cache_server.store().clear()
-        circuits = [benchmark_circuit("ghz", 4)]
-        vec = repro.make_compilation_vec_env(
-            circuits,
-            2,
-            device_name="ibmq_washington",
-            max_steps=25,
-            seed=3,
-            shared_store=cache_server.store(),
-        )
-        try:
-            self._drive(vec, 2, episodes=1)
-            members = vec.envs
-            assert all(isinstance(m.transform_cache, TransformCache) for m in members)
-        finally:
-            vec.close()
-        assert cache_server.stats()["hits"] > 0
 
 
 # ---------------------------------------------------------------------------------

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pickle
-
 import numpy as np
 import pytest
 
@@ -12,7 +10,6 @@ from repro.core import CompilationEnv
 from repro.pipeline import AnalysisCache, TransformCache
 from repro.rl import (
     PPO,
-    AsyncVectorEnv,
     Box,
     Discrete,
     Env,
@@ -23,7 +20,7 @@ from repro.rl import (
 
 
 class CorridorEnv(Env):
-    """Walk right to the goal; truncates at a step limit (picklable, module level)."""
+    """Walk right to the goal; truncates at a step limit."""
 
     def __init__(self, length: int = 5, limit: int = 12):
         self.length = length
@@ -58,15 +55,6 @@ class CorridorEnv(Env):
 
 def _corridor_fns(n):
     return [lambda: CorridorEnv() for _ in range(n)]
-
-
-class FaultyEnv(CorridorEnv):
-    """Raises from step() on action 1 (picklable, module level)."""
-
-    def step(self, action):
-        if action == 1:
-            raise RuntimeError("faulty env exploded")
-        return super().step(action)
 
 
 TINY_CIRCUITS = [
@@ -204,76 +192,11 @@ class TestCompilationFleet:
         assert stats["hits"] == pass_actions * 3
         assert first.analysis_cache.hit_rate > 0.5
 
-    def test_share_work_off_gives_private_caches(self):
-        vec = make_compilation_vec_env(TINY_CIRCUITS, 2, share_work=False)
-        assert vec.envs[0].analysis_cache is not vec.envs[1].analysis_cache
-        assert vec.envs[0].transform_cache is None
-        assert vec.envs[0].seed_mode == "stream"
-
     def test_validation(self):
         with pytest.raises(ValueError):
             make_compilation_vec_env(TINY_CIRCUITS, 0)
         with pytest.raises(ValueError):
             make_compilation_vec_env([], 2)
-        with pytest.raises(ValueError):
-            make_compilation_vec_env(TINY_CIRCUITS, 2, backend="quantum")
-
-
-class TestAsyncVectorEnv:
-    def test_matches_sync_on_corridor(self):
-        sync = SyncVectorEnv(_corridor_fns(2))
-        async_vec = AsyncVectorEnv(_corridor_fns(2))
-        try:
-            obs_s, _ = sync.reset(seed=3)
-            obs_a, _ = async_vec.reset(seed=3)
-            np.testing.assert_array_equal(obs_s, obs_a)
-            rng = np.random.default_rng(0)
-            for _ in range(20):
-                actions = rng.integers(0, 2, size=2)
-                np.testing.assert_array_equal(sync.action_masks(), async_vec.action_masks())
-                obs_s, r_s, te_s, tr_s, _ = sync.step(actions)
-                obs_a, r_a, te_a, tr_a, _ = async_vec.step(actions)
-                np.testing.assert_array_equal(obs_s, obs_a)
-                np.testing.assert_array_equal(r_s, r_a)
-                np.testing.assert_array_equal(te_s, te_a)
-                np.testing.assert_array_equal(tr_s, tr_a)
-        finally:
-            async_vec.close()
-
-    def test_compilation_fleet_process_backend(self):
-        vec = make_compilation_vec_env(
-            [TINY_CIRCUITS[0]], 2, backend="async",
-            device_name="ibmq_washington", max_steps=10, seed=2,
-        )
-        try:
-            obs, _ = vec.reset(seed=2)
-            assert obs.shape[0] == 2
-            masks = vec.action_masks()
-            assert masks.shape[0] == 2 and masks.any(axis=1).all()
-            actions = masks.argmax(axis=1)
-            obs, rewards, terminated, truncated, _infos = vec.step(actions)
-            assert obs.shape[0] == 2
-        finally:
-            vec.close()
-
-    def test_close_is_idempotent(self):
-        vec = AsyncVectorEnv(_corridor_fns(1))
-        vec.reset(seed=0)
-        vec.close()
-        vec.close()
-
-    def test_worker_exception_surfaces_with_traceback(self):
-        vec = AsyncVectorEnv([CorridorEnv, FaultyEnv])
-        try:
-            vec.reset(seed=0)
-            with pytest.raises(RuntimeError, match="faulty env exploded"):
-                vec.step(np.array([0, 1]))
-            # The fleet stays synchronised: workers survive the error and
-            # keep serving commands.
-            obs, rewards, _te, _tr, _infos = vec.step(np.array([0, 0]))
-            assert obs.shape == (2, 2)
-        finally:
-            vec.close()
 
 
 class TestVectorisedPPO:
@@ -334,12 +257,6 @@ class TestVectorisedPPO:
         agent = PPO(vec, PPOConfig(n_steps=16, batch_size=16, n_epochs=1), seed=1)
         summary = agent.learn(96)
         assert summary.total_timesteps >= 96
-
-    def test_fleet_is_picklable_for_process_workers(self):
-        factory = _corridor_fns(1)[0]
-        env = factory()
-        restored = pickle.loads(pickle.dumps(env))
-        assert isinstance(restored, CorridorEnv)
 
     def test_predictor_trains_with_fleet(self):
         from repro.core import Predictor
